@@ -1,46 +1,105 @@
 //! Perf-regression sentinel over the committed benchmark baselines.
 //!
-//! Every optimization this repo ships is gated by a ratio in a
-//! committed `results/BENCH_*.json` file (tiled vs scalar near field,
-//! GEMM vs matvec translations, batched-FFT vs dense M2L, parallel vs
-//! serial setup, warm vs cold serving, tracing overhead). Those files
-//! are regenerated rarely; nothing re-checks the claims day to day.
-//! This sentinel does: it loads each committed baseline, re-measures
-//! the same gated ratio in a fast smoke configuration (smaller N,
-//! reps-1 unless `PFMM_BENCH_REPS` raises it), and fails — with a
-//! structured JSON report — when a measured ratio falls below
-//! `committed × (1 − tolerance)`. The generous default tolerance
-//! (30%) absorbs the size difference and host noise while still
-//! catching a halved speedup.
+//! Several design choices this repo ships are gated by a number in a
+//! committed `results/BENCH_*.json` file (batched-FFT vs dense M2L,
+//! pooled vs fresh workspaces, warm vs cold serving, tracing and
+//! telemetry overhead). Those files are regenerated rarely; nothing
+//! re-checks the claims day to day. This sentinel does: it loads each
+//! committed baseline and re-measures the same gate in a fast smoke
+//! configuration (smaller N, reps-1 unless `PFMM_BENCH_REPS` raises it).
+//! It fails — with a structured JSON report — when
+//!
+//! * a speedup falls below `committed × (1 − tolerance)`; the generous
+//!   default tolerance (30%) absorbs the size difference and host noise
+//!   while still catching a halved speedup;
+//! * an overhead budget is breached: over interleaved off/on pairs, the
+//!   median on/off wall ratio exceeds `1 + budget + noise`, where
+//!   `noise` is the quartile spread of the off/off ratios of consecutive
+//!   off runs in the same invocation.
 //!
 //! Usage: `bench_check [--results <dir>] [--tolerance <frac>]
-//! [--inject <factor>] [--report <path>]`. `--inject` divides every
-//! measured ratio by `<factor>` — a self-test hook: CI runs
-//! `bench_check --inject 2` and requires the nonzero exit.
+//! [--inject <factor>] [--report <path>]`. `--inject` makes every
+//! measurement `<factor>` times worse (speedups divided, overhead ratios
+//! multiplied) — a self-test hook: CI runs `bench_check --inject 2` and
+//! requires the nonzero exit.
 
 use std::sync::Arc;
 
 use pfmm_bench::{bench_reps, run_case_best, Distribution, RunSummary};
 use pfmm_core::profile::Phase;
-use pfmm_core::{Fmm, FmmConfig, M2lMode, SetupMode, TranslateMode, UlistMode};
+use pfmm_core::{Fmm, FmmConfig, M2lMode};
 use pfmm_kernels::Laplace;
 use pfmm_serve::{run_sim, Arrival, ObsConfig, ServiceConfig, SimConfig, WorkloadConfig};
 use pfmm_trace::json::{parse, push_escaped, Value};
 use pfmm_trace::{TraceLevel, Tracer};
 
-/// One gated ratio: where it came from, what we re-measured, verdict.
+/// Which side of its bound a gated number must stay on.
+#[derive(Copy, Clone, PartialEq)]
+enum Gate {
+    /// A speedup: pass while `measured >= bound`.
+    Floor,
+    /// An overhead ratio: pass while `measured <= bound`.
+    Ceiling,
+}
+
+/// One gated number: where it came from, what we re-measured, verdict.
 struct Check {
     baseline: &'static str,
     key: &'static str,
+    gate: Gate,
     committed: f64,
     measured: f64,
-    floor: f64,
+    bound: f64,
 }
 
 impl Check {
     fn pass(&self) -> bool {
-        self.measured >= self.floor
+        match self.gate {
+            Gate::Floor => self.measured >= self.bound,
+            Gate::Ceiling => self.measured <= self.bound,
+        }
     }
+
+    /// Make the measurement `factor` times worse (`--inject`).
+    fn inject(&mut self, factor: f64) {
+        match self.gate {
+            Gate::Floor => self.measured /= factor,
+            Gate::Ceiling => self.measured *= factor,
+        }
+    }
+}
+
+/// Linear-interpolated quantile of an unsorted, nonempty sample.
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let pos = q * (v.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// Overhead of `on` over `off` from `pairs` interleaved off/on runs
+/// (alternating which goes first, so slow drift cancels). Returns the
+/// median on/off ratio and the noise floor: the quartile spread of the
+/// ratios of consecutive off runs, i.e. how far two identical runs
+/// disagree on this host right now.
+fn overhead(pairs: usize, mut off: impl FnMut() -> f64, mut on: impl FnMut() -> f64) -> (f64, f64) {
+    let mut offs = Vec::with_capacity(pairs);
+    let mut ratios = Vec::with_capacity(pairs);
+    for i in 0..pairs {
+        let (t_off, t_on) = if i % 2 == 0 {
+            let t = off();
+            (t, on())
+        } else {
+            let t = on();
+            (off(), t)
+        };
+        offs.push(t_off);
+        ratios.push(t_on / t_off.max(1e-12));
+    }
+    let noise: Vec<f64> = offs.windows(2).map(|w| w[1] / w[0].max(1e-12)).collect();
+    let spread = quantile(&noise, 0.75) - quantile(&noise, 0.25);
+    (quantile(&ratios, 0.5), spread)
 }
 
 fn load(dir: &str, file: &str) -> Option<Value> {
@@ -158,144 +217,39 @@ fn main() {
         }
     );
 
-    let floor_of = |committed: f64| committed * (1.0 - tolerance);
+    let speedup = |baseline, key, committed: f64, measured| Check {
+        baseline,
+        key,
+        gate: Gate::Floor,
+        committed,
+        measured,
+        bound: committed * (1.0 - tolerance),
+    };
     let mut checks: Vec<Check> = Vec::new();
     let n = 40_000;
 
-    if let Some(b) = load(&dir, "BENCH_ulist.json") {
-        let committed = min_row(&b, "speedup_tiled_vs_scalar");
-        let scalar = eval_secs(
-            FmmConfig {
-                q: 64,
-                ulist: UlistMode::Scalar,
-                ..smoke_cfg()
-            },
-            n,
-            reps,
-        );
-        let tiled = eval_secs(
-            FmmConfig {
-                q: 64,
-                ulist: UlistMode::Tiled,
-                ..smoke_cfg()
-            },
-            n,
-            reps,
-        );
-        checks.push(Check {
-            baseline: "BENCH_ulist.json",
-            key: "speedup_tiled_vs_scalar",
-            committed,
-            measured: phase_ratio(&scalar, &tiled, &[Phase::UList]),
-            floor: floor_of(committed),
-        });
-    }
-
-    if let Some(b) = load(&dir, "BENCH_translate.json") {
-        let committed = min_row(&b, "speedup_gemm_vs_matvec");
-        let matvec = eval_secs(
-            FmmConfig {
-                order: 5,
-                q: 16,
-                translate: TranslateMode::Matvec,
-                ..smoke_cfg()
-            },
-            n,
-            reps,
-        );
-        let gemm = eval_secs(
-            FmmConfig {
-                order: 5,
-                q: 16,
-                translate: TranslateMode::Gemm,
-                ..smoke_cfg()
-            },
-            n,
-            reps,
-        );
-        checks.push(Check {
-            baseline: "BENCH_translate.json",
-            key: "speedup_gemm_vs_matvec",
-            committed,
-            measured: phase_ratio(&matvec, &gemm, &[Phase::Upward, Phase::Downward]),
-            floor: floor_of(committed),
-        });
-    }
-
     if let Some(b) = load(&dir, "BENCH_m2l.json") {
-        let batched = eval_secs(
-            FmmConfig {
-                q: 40,
-                m2l: M2lMode::FftBatched,
-                ..smoke_cfg()
-            },
-            n,
-            reps,
-        );
-        for (key, mode) in [
-            ("speedup_batched_vs_fft", M2lMode::Fft),
-            ("speedup_batched_vs_dense", M2lMode::Dense),
-        ] {
-            let committed = min_row(&b, key);
-            let other = eval_secs(
+        let key = "speedup_batched_vs_dense";
+        let committed = min_row(&b, key);
+        let run = |m2l| {
+            eval_secs(
                 FmmConfig {
                     q: 40,
-                    m2l: mode,
+                    m2l,
                     ..smoke_cfg()
                 },
                 n,
                 reps,
-            );
-            checks.push(Check {
-                baseline: "BENCH_m2l.json",
-                key,
-                committed,
-                measured: phase_ratio(&other, &batched, &[Phase::VList]),
-                floor: floor_of(committed),
-            });
-        }
-    }
-
-    if let Some(b) = load(&dir, "BENCH_setup.json") {
-        let serial = eval_secs(
-            FmmConfig {
-                q: 100,
-                threads: 4,
-                setup: SetupMode::Serial,
-                ..smoke_cfg()
-            },
-            100_000,
-            reps,
-        );
-        let parallel = eval_secs(
-            FmmConfig {
-                q: 100,
-                threads: 4,
-                setup: SetupMode::Parallel,
-                ..smoke_cfg()
-            },
-            100_000,
-            reps,
-        );
-        let setup_ratio = serial.max_setup() / parallel.max_setup().max(1e-12);
-        let sort_ratio = serial.max_sort() / parallel.max_sort().max(1e-12);
-        for (key, committed, measured) in [
-            ("setup_speedup", min_row(&b, "setup_speedup"), setup_ratio),
-            ("sort_speedup", min_row(&b, "sort_speedup"), sort_ratio),
-            (
-                "cold_plan.speedup",
-                num(b.get("cold_plan").expect("cold_plan member"), "speedup"),
-                setup_ratio,
-            ),
-        ] {
-            checks.push(Check {
-                baseline: "BENCH_setup.json",
-                key,
-                committed,
-                measured,
-                floor: floor_of(committed),
-            });
-        }
+            )
+        };
+        let batched = run(M2lMode::FftBatched);
+        let dense = run(M2lMode::Dense);
+        checks.push(speedup(
+            "BENCH_m2l.json",
+            key,
+            committed,
+            phase_ratio(&dense, &batched, &[Phase::VList]),
+        ));
     }
 
     if let Some(b) = load(&dir, "BENCH_workspace.json") {
@@ -314,13 +268,12 @@ fn main() {
         let fresh: f64 = pfmm_bench::workspace_apply_secs(wcfg, 20_000, 23, 1, applies, false)
             .iter()
             .sum();
-        checks.push(Check {
-            baseline: "BENCH_workspace.json",
-            key: "wall_ratio_alloc_over_pooled",
+        checks.push(speedup(
+            "BENCH_workspace.json",
+            "wall_ratio_alloc_over_pooled",
             committed,
-            measured: fresh / pooled.max(1e-12),
-            floor: floor_of(committed),
-        });
+            fresh / pooled.max(1e-12),
+        ));
     }
 
     if let Some(b) = load(&dir, "BENCH_serve.json") {
@@ -331,78 +284,73 @@ fn main() {
             best_cold = best_cold.max(serve_throughput(false));
             best_warm = best_warm.max(serve_throughput(true));
         }
-        checks.push(Check {
-            baseline: "BENCH_serve.json",
-            key: "speedup",
+        checks.push(speedup(
+            "BENCH_serve.json",
+            "speedup",
             committed,
-            measured: best_warm / best_cold.max(1e-12),
-            floor: floor_of(committed),
-        });
+            best_warm / best_cold.max(1e-12),
+        ));
     }
 
+    // Enough interleaved pairs for a median and a quartile spread even
+    // at reps 1.
+    let pairs = 2 * reps + 5;
+
     if let Some(b) = load(&dir, "BENCH_trace_overhead.json") {
-        // Overhead gate, re-expressed as the ratio off/traced so every
-        // check reads "bigger is better": budget_pct overhead allowed
-        // means the committed floor ratio is 1/(1 + budget/100).
-        let budget = num(&b, "budget_pct");
-        let committed = 1.0 / (1.0 + budget / 100.0);
-        let mut off = f64::INFINITY;
-        let mut traced = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let t_off = Arc::new(Tracer::off());
-            off = off.min(run_case_traced_secs(smoke_cfg(), n, &t_off));
-            let t_ph = Arc::new(Tracer::new(TraceLevel::Phase));
-            traced = traced.min(run_case_traced_secs(smoke_cfg(), n, &t_ph));
-        }
-        checks.push(Check {
-            baseline: "BENCH_trace_overhead.json",
-            key: "phase_overhead_pct",
-            committed,
-            measured: off / traced.max(1e-12),
-            floor: floor_of(committed),
-        });
+        let budget = num(&b, "budget_pct") / 100.0;
+        let (ratio, noise) = overhead(
+            pairs,
+            || run_case_traced_secs(smoke_cfg(), n, &Arc::new(Tracer::off())),
+            || run_case_traced_secs(smoke_cfg(), n, &Arc::new(Tracer::new(TraceLevel::Phase))),
+        );
+        checks.push(overhead_check(
+            "BENCH_trace_overhead.json",
+            "phase_overhead_ratio",
+            budget,
+            ratio,
+            noise,
+        ));
     }
 
     if let Some(b) = load(&dir, "BENCH_metrics_overhead.json") {
-        // Same ratio form for the telemetry budget: disabled/armed.
-        let budget = num(&b, "budget_pct");
-        let committed = 1.0 / (1.0 + budget / 100.0);
+        // Same gate for the telemetry budget: registry armed vs disabled.
+        let budget = num(&b, "budget_pct") / 100.0;
         let reg = pfmm_metrics::global();
-        let mut disabled = f64::INFINITY;
-        let mut armed = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            reg.set_enabled(false);
-            disabled = disabled.min(eval_secs(smoke_cfg(), n, 1).max_eval());
-            reg.set_enabled(true);
-            armed = armed.min(eval_secs(smoke_cfg(), n, 1).max_eval());
-        }
-        checks.push(Check {
-            baseline: "BENCH_metrics_overhead.json",
-            key: "overhead_pct",
-            committed,
-            measured: disabled / armed.max(1e-12),
-            floor: floor_of(committed),
-        });
+        let was_enabled = reg.enabled();
+        let timed = |enabled: bool| {
+            reg.set_enabled(enabled);
+            eval_secs(smoke_cfg(), n, 1).max_eval()
+        };
+        let (ratio, noise) = overhead(pairs, || timed(false), || timed(true));
+        reg.set_enabled(was_enabled);
+        checks.push(overhead_check(
+            "BENCH_metrics_overhead.json",
+            "overhead_ratio",
+            budget,
+            ratio,
+            noise,
+        ));
     }
 
     assert!(!checks.is_empty(), "no baselines found under {dir}/");
     for c in &mut checks {
-        c.measured /= inject;
+        c.inject(inject);
     }
 
     println!(
-        "{:<32} {:<26} {:>10} {:>10} {:>8} {:>6}",
-        "baseline", "key", "committed", "measured", "floor", "ok"
+        "{:<30} {:<28} {:>10} {:>10} {:>8} {:>6}",
+        "baseline", "key", "committed", "measured", "bound", "ok"
     );
     let mut failed = 0usize;
     for c in &checks {
         println!(
-            "{:<32} {:<26} {:>10.3} {:>10.3} {:>8.3} {:>6}",
+            "{:<30} {:<28} {:>10.3} {:>10.3} {:>7.3}{} {:>6}",
             c.baseline,
             c.key,
             c.committed,
             c.measured,
-            c.floor,
+            c.bound,
+            if c.gate == Gate::Floor { '>' } else { '<' },
             if c.pass() { "pass" } else { "FAIL" }
         );
         failed += usize::from(!c.pass());
@@ -418,11 +366,20 @@ fn main() {
         push_escaped(&mut json, c.baseline);
         json.push_str(", \"key\": ");
         push_escaped(&mut json, c.key);
+        json.push_str(", \"gate\": ");
+        push_escaped(
+            &mut json,
+            if c.gate == Gate::Floor {
+                "floor"
+            } else {
+                "ceiling"
+            },
+        );
         json.push_str(&format!(
-            ", \"committed\": {:.4}, \"measured\": {:.4}, \"floor\": {:.4}, \"pass\": {}}}{}\n",
+            ", \"committed\": {:.4}, \"measured\": {:.4}, \"bound\": {:.4}, \"pass\": {}}}{}\n",
             c.committed,
             c.measured,
-            c.floor,
+            c.bound,
             c.pass(),
             if i + 1 < checks.len() { "," } else { "" }
         ));
@@ -436,10 +393,10 @@ fn main() {
 
     assert!(
         failed == 0,
-        "{failed} of {} gated ratios regressed below their floor (see {report_path})",
+        "{failed} of {} gates regressed past their bound (see {report_path})",
         checks.len()
     );
-    println!("all {} gated ratios hold", checks.len());
+    println!("all {} gates hold", checks.len());
 }
 
 fn run_case_traced_secs(cfg: FmmConfig, n: usize, tracer: &Arc<Tracer>) -> f64 {
@@ -453,4 +410,23 @@ fn run_case_traced_secs(cfg: FmmConfig, n: usize, tracer: &Arc<Tracer>) -> f64 {
         tracer,
     )
     .max_eval()
+}
+
+/// An overhead gate: the committed number is the budgeted ratio
+/// `1 + budget`, the bound adds this invocation's noise floor.
+fn overhead_check(
+    baseline: &'static str,
+    key: &'static str,
+    budget: f64,
+    ratio: f64,
+    noise: f64,
+) -> Check {
+    Check {
+        baseline,
+        key,
+        gate: Gate::Ceiling,
+        committed: 1.0 + budget,
+        measured: ratio,
+        bound: 1.0 + budget + noise,
+    }
 }

@@ -27,9 +27,7 @@ use pfmm_core::driver::gather_potentials;
 use pfmm_core::profile::{Phase, ProfileSummary};
 use pfmm_core::tune::tune_sweep;
 use pfmm_core::verify::sampled_rel_error;
-use pfmm_core::{
-    Fmm, FmmConfig, M2lMode, Reduction, Schedule, SetupMode, SortKind, TranslateMode, UlistMode,
-};
+use pfmm_core::{Fmm, FmmConfig, M2lMode, Reduction, Schedule, SortKind};
 use pfmm_gpusim::{run_gpu_fmm, run_gpu_fmm_wx, DeviceSpec, GpuPhase};
 use pfmm_kernels::{Kernel, Laplace, LaplaceDipole, Stokes, Yukawa};
 use pfmm_metrics::{FlightConfig, Sampler, SloConfig};
@@ -52,24 +50,15 @@ common options:
 run options:
   --ranks <int>        simulated MPI ranks (default 1)
   --threads <int>      intra-rank threads for the parallel phases (default 1)
-  --m2l <fft-batched|fft|dense>  V-list mode (default fft-batched:
+  --m2l <fft-batched|dense>  V-list mode (default fft-batched:
                        lock-free transfer-vector-bucketed half-spectrum
-                       Hadamard; fft = per-edge spectral baseline;
-                       dense = per-offset operator matrices)
+                       Hadamard; dense = per-offset operator matrices,
+                       the reference oracle)
   --sort <sample|bitonic>      parallel sort backend (default sample)
   --reduction <auto|hypercube|naive>  up-density reduction (default auto)
   --schedule <barrier|graph>   phase executor: bulk-synchronous barriers
                        or the dependency-graph scheduler with
                        comm/compute overlap (default barrier)
-  --ulist <tiled|scalar>       near-field engine (default tiled: padded
-                       SoA tiles with branch-free microkernels;
-                       scalar = per-point reference path)
-  --translate <gemm|matvec>    up/down translation engine (default gemm:
-                       level-batched multi-RHS GEMM over shared-operator
-                       groups; matvec = per-box reference path)
-  --setup <parallel|serial>    setup engine (default parallel: threaded
-                       LSD radix sort + parallel tree/list/plan
-                       construction; serial = comparison-sort baseline)
   --balance <true|false>       work-weighted repartition (default true)
   --check <int>        verify every k-th point against the direct sum
                        (0 = skip; default 0)
@@ -161,11 +150,8 @@ const CONFIG_FLAGS: &[&str] = &[
     "sort",
     "reduction",
     "schedule",
-    "ulist",
-    "translate",
     "balance",
     "threads",
-    "setup",
 ];
 const TRACE_FLAGS: &[&str] = &["trace", "trace-level"];
 /// Flags consumed by `metrics_of` (run/serve-sim).
@@ -337,7 +323,6 @@ fn config_of(args: &Args) -> Result<FmmConfig, String> {
         q: args.get_or("q", 100)?,
         m2l: match args.get("m2l").unwrap_or("fft-batched") {
             "fft-batched" => M2lMode::FftBatched,
-            "fft" => M2lMode::Fft,
             "dense" => M2lMode::Dense,
             other => return Err(format!("unknown m2l mode '{other}'")),
         },
@@ -353,22 +338,7 @@ fn config_of(args: &Args) -> Result<FmmConfig, String> {
             "graph" => Schedule::Graph,
             other => return Err(format!("unknown schedule '{other}'")),
         },
-        ulist: match args.get("ulist").unwrap_or("tiled") {
-            "tiled" => UlistMode::Tiled,
-            "scalar" => UlistMode::Scalar,
-            other => return Err(format!("unknown ulist mode '{other}'")),
-        },
-        translate: match args.get("translate").unwrap_or("gemm") {
-            "gemm" => TranslateMode::Gemm,
-            "matvec" => TranslateMode::Matvec,
-            other => return Err(format!("unknown translate mode '{other}'")),
-        },
         threads: args.get_or("threads", 1)?,
-        setup: match args.get("setup").unwrap_or("parallel") {
-            "parallel" => SetupMode::Parallel,
-            "serial" => SetupMode::Serial,
-            other => return Err(format!("unknown setup engine '{other}'")),
-        },
         sort: match args.get("sort").unwrap_or("sample") {
             "sample" => SortKind::Sample,
             "bitonic" => SortKind::Bitonic,
@@ -880,10 +850,6 @@ mod tests {
             "3",
             "--balance",
             "false",
-            "--ulist",
-            "scalar",
-            "--setup",
-            "serial",
         ]))
         .expect("valid");
         assert_eq!(cfg.order, 4);
@@ -894,71 +860,6 @@ mod tests {
         assert_eq!(cfg.schedule, Schedule::Graph);
         assert_eq!(cfg.threads, 3);
         assert!(!cfg.balance);
-        assert_eq!(cfg.ulist, UlistMode::Scalar);
-        assert_eq!(cfg.setup, SetupMode::Serial);
-    }
-
-    #[test]
-    fn setup_mode_selection() {
-        assert_eq!(
-            config_of(&args(&["run"])).expect("default").setup,
-            SetupMode::Parallel
-        );
-        assert_eq!(
-            config_of(&args(&["run", "--setup=parallel"]))
-                .expect("parallel")
-                .setup,
-            SetupMode::Parallel
-        );
-        assert_eq!(
-            config_of(&args(&["run", "--setup", "serial"]))
-                .expect("serial")
-                .setup,
-            SetupMode::Serial
-        );
-        assert!(config_of(&args(&["run", "--setup", "nope"])).is_err());
-    }
-
-    #[test]
-    fn ulist_mode_selection() {
-        assert_eq!(
-            config_of(&args(&["run"])).expect("default").ulist,
-            UlistMode::Tiled
-        );
-        assert_eq!(
-            config_of(&args(&["run", "--ulist=tiled"]))
-                .expect("tiled")
-                .ulist,
-            UlistMode::Tiled
-        );
-        assert_eq!(
-            config_of(&args(&["run", "--ulist", "scalar"]))
-                .expect("scalar")
-                .ulist,
-            UlistMode::Scalar
-        );
-        assert!(config_of(&args(&["run", "--ulist", "nope"])).is_err());
-    }
-
-    #[test]
-    fn translate_mode_selection() {
-        assert_eq!(
-            config_of(&args(&["run"])).expect("default").translate,
-            TranslateMode::Gemm
-        );
-        assert_eq!(
-            config_of(&args(&["run", "--translate=gemm"]))
-                .expect("gemm")
-                .translate,
-            TranslateMode::Gemm
-        );
-        assert_eq!(
-            config_of(&args(&["run", "--translate", "matvec"]))
-                .expect("matvec")
-                .translate,
-            TranslateMode::Matvec
-        );
-        assert!(config_of(&args(&["run", "--translate", "nope"])).is_err());
     }
 
     #[test]
@@ -974,10 +875,21 @@ mod tests {
             M2lMode::FftBatched
         );
         assert_eq!(
-            config_of(&args(&["run", "--m2l", "fft"])).expect("fft").m2l,
-            M2lMode::Fft
+            config_of(&args(&["run", "--m2l=dense"]))
+                .expect("dense")
+                .m2l,
+            M2lMode::Dense
         );
-        assert!(config_of(&args(&["run", "--m2l", "nope"])).is_err());
+        // `fft` named the retired per-edge spectral path.
+        for bad in ["nope", "fft"] {
+            assert!(config_of(&args(&["run", "--m2l", bad])).is_err(), "{bad}");
+            assert!(dispatch(
+                ["run", "--n=100", &format!("--m2l={bad}")]
+                    .iter()
+                    .map(|s| s.to_string())
+            )
+            .is_err());
+        }
     }
 
     #[test]
@@ -1082,6 +994,17 @@ mod tests {
     #[test]
     fn unknown_flag_is_an_error() {
         assert!(dispatch(["run", "--frobnicate", "1"].iter().map(|s| s.to_string())).is_err());
+        // Flags of the retired engine modes are unknown flags now.
+        for retired in ["--translate=matvec", "--ulist=scalar", "--setup=serial"] {
+            for cmd in ["run", "tune", "solve"] {
+                let err = dispatch([cmd, "--n=100", retired].iter().map(|s| s.to_string()))
+                    .expect_err("retired flag rejected");
+                assert!(
+                    err.starts_with("unknown option --"),
+                    "{cmd} {retired}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

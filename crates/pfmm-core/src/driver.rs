@@ -28,21 +28,18 @@ use pfmm_tree::{
 
 use crate::exec::{run_phases, EvalData};
 use crate::m2l_batched::FftBatchedM2l;
-use crate::m2l_fft::FftM2l;
 use crate::ops::Ops;
 use crate::profile::Profile;
 
 /// How the V-list translation is evaluated.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum M2lMode {
-    /// Dense per-offset operator matrices (the reference path).
+    /// Dense per-offset operator matrices (the reference oracle).
     Dense,
-    /// FFT-diagonalized translation (§IV), one edge at a time against a
-    /// mutex-guarded spectrum cache (kept as the ablation baseline).
-    Fft,
-    /// FFT-diagonalized translation with precomputed lock-free kernel
-    /// spectrum tables, transfer-vector-bucketed edges, split-complex
-    /// half spectra, and reusable scratch — the production path.
+    /// FFT-diagonalized translation (§IV) with precomputed lock-free
+    /// kernel spectrum tables, transfer-vector-bucketed edges,
+    /// split-complex half spectra, and reusable scratch — the production
+    /// path.
     FftBatched,
 }
 
@@ -81,49 +78,6 @@ pub enum Schedule {
     Graph,
 }
 
-/// How the direct near-field (U-list) interactions are evaluated.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum UlistMode {
-    /// Per-target scalar loop over `&dyn Kernel` with AoS points (the
-    /// reference path, kept as the ablation baseline).
-    Scalar,
-    /// Padded lane-aligned SoA tiles walked as a sorted CSR with
-    /// branch-free monomorphized microkernels (`crate::nearfield`) — the
-    /// production path. Kernels without tile microkernels fall back to
-    /// the scalar path automatically.
-    Tiled,
-}
-
-/// How the setup pipeline (sort, tree, LET, interaction lists, plan
-/// precompute) is executed.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SetupMode {
-    /// Multithreaded LSD radix sort on `(Morton rank, gid)` plus
-    /// parallel tree/LET/list/plan construction over `threads` workers —
-    /// bitwise identical to `Serial` by construction (the composite sort
-    /// key is unique per record and every parallel stage reassembles in
-    /// input order; DESIGN.md §13). The production path.
-    Parallel,
-    /// Single-threaded comparison sort and serial construction (the
-    /// reference path, kept as the ablation baseline).
-    Serial,
-}
-
-/// How the shared-operator up/down translations (uc2e/dc2e solves, U2U,
-/// D2D) are applied.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum TranslateMode {
-    /// One `matvec_acc_scaled` per box (the reference path, kept as the
-    /// ablation baseline).
-    Matvec,
-    /// Level-batched multi-RHS GEMM: boxes sharing one operator are
-    /// grouped at plan time (`crate::translate`), their densities packed
-    /// as column panels, and each group applied with one
-    /// `pfmm_linalg::gemm_acc_scaled` call — the production path.
-    /// Bitwise identical to `Matvec` by construction (DESIGN.md §12).
-    Gemm,
-}
-
 /// FMM parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct FmmConfig {
@@ -141,26 +95,16 @@ pub struct FmmConfig {
     /// Up-density reduction scheme.
     pub reduction: Reduction,
     /// Intra-rank threads for the per-octant evaluation phases (S2U, V,
-    /// X, D2T, W, U — the parallel set of §IV); 1 = fully sequential.
+    /// X, D2T, W, U — the parallel set of §IV) and for the setup pipeline
+    /// (sort, tree, LET, lists, plan precompute; clamped to the host's
+    /// parallelism, bitwise independent of the count); 1 = fully
+    /// sequential.
     pub threads: usize,
     /// Parallel-sort backend.
     pub sort: SortKind,
-    /// Threads for the level-synchronous U2U/D2D traversals — the
-    /// Euler-tour parallelism the paper lists as unexploited future work
-    /// (§IV); 1 reproduces the paper's sequential traversals.
-    pub traversal_threads: usize,
     /// Phase executor: bulk-synchronous barriers or the task graph with
     /// communication/compute overlap.
     pub schedule: Schedule,
-    /// Near-field (U-list) evaluation mode.
-    pub ulist: UlistMode,
-    /// Up/down translation application mode.
-    pub translate: TranslateMode,
-    /// Setup-pipeline execution mode. `Parallel` runs the sort, tree,
-    /// LET, list, and plan construction over `threads` workers; results
-    /// are bitwise identical either way, so this never participates in
-    /// [`crate::plan::plan_fingerprint`].
-    pub setup: SetupMode,
 }
 
 impl Default for FmmConfig {
@@ -174,11 +118,7 @@ impl Default for FmmConfig {
             reduction: Reduction::Auto,
             threads: 1,
             sort: SortKind::Sample,
-            traversal_threads: 1,
             schedule: Schedule::Barrier,
-            ulist: UlistMode::Tiled,
-            translate: TranslateMode::Gemm,
-            setup: SetupMode::Parallel,
         }
     }
 }
@@ -221,7 +161,6 @@ pub struct Fmm {
     kernel: Arc<dyn Kernel>,
     cfg: FmmConfig,
     ops: Ops,
-    fft: FftM2l,
     fftb: FftBatchedM2l,
 }
 
@@ -229,13 +168,11 @@ impl Fmm {
     /// Create an evaluator.
     pub fn new(kernel: Arc<dyn Kernel>, cfg: FmmConfig) -> Fmm {
         let ops = Ops::new(kernel.clone(), cfg.order, cfg.pinv_tol);
-        let fft = FftM2l::new(kernel.clone(), cfg.order);
         let fftb = FftBatchedM2l::new(kernel.clone(), cfg.order);
         Fmm {
             kernel,
             cfg,
             ops,
-            fft,
             fftb,
         }
     }
@@ -256,19 +193,13 @@ impl Fmm {
         &self.ops
     }
 
-    /// The FFT M2L engine.
-    pub fn fft(&self) -> &FftM2l {
-        &self.fft
-    }
-
     /// The batched lock-free spectral M2L engine.
     pub fn fft_batched(&self) -> &FftBatchedM2l {
         &self.fftb
     }
 
-    /// The intra-rank parallelism of the setup pipeline implied by the
-    /// configuration: `threads` workers under [`SetupMode::Parallel`],
-    /// fully serial under [`SetupMode::Serial`].
+    /// The intra-rank parallelism of the setup pipeline (sort, tree,
+    /// LET, lists, plan precompute): `threads` workers.
     ///
     /// The worker count is clamped to the host's available parallelism:
     /// the setup stages are memory-bound streaming passes, so workers
@@ -278,15 +209,10 @@ impl Fmm {
     /// bitwise independent of the worker count, so the clamp is
     /// numerics-free.
     pub(crate) fn setup_par(&self) -> SetupPar {
-        match self.cfg.setup {
-            SetupMode::Serial => SetupPar::Serial,
-            SetupMode::Parallel => {
-                let hw = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                SetupPar::Threads(self.cfg.threads.clamp(1, hw))
-            }
-        }
+        let hw = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        SetupPar::Threads(self.cfg.threads.clamp(1, hw))
     }
 
     /// Evaluate the N-body sum on a communicator; every rank passes its
@@ -567,7 +493,7 @@ mod tests {
     use super::*;
     use crate::distrib::{ellipsoid_1_1_4, randomize_densities, uniform_cube};
     use crate::profile::Phase;
-    use pfmm_kernels::{direct_eval, Laplace, LaplaceDipole, Point3, Stokes, Yukawa};
+    use pfmm_kernels::{direct_eval, Laplace, Point3, Stokes};
     use pfmm_mpisim::run;
 
     /// Relative ℓ² error of FMM potentials against the direct sum.
@@ -626,47 +552,11 @@ mod tests {
         let cfg = FmmConfig {
             order: 6,
             q: 60,
-            m2l: M2lMode::Fft,
             ..Default::default()
         };
         let gp = run_fmm(Arc::new(Laplace), cfg, pts.clone(), 1);
         let err = rel_error(&Laplace, &pts, &gp);
         assert!(err < 1e-5, "relative l2 error {err}");
-    }
-
-    #[test]
-    fn laplace_dense_matches_fft() {
-        let mut pts = uniform_cube(800, 13, 0);
-        randomize_densities(&mut pts, 1, 7);
-        let dense = run_fmm(
-            Arc::new(Laplace),
-            FmmConfig {
-                order: 4,
-                q: 30,
-                m2l: M2lMode::Dense,
-                ..Default::default()
-            },
-            pts.clone(),
-            1,
-        );
-        let fft = run_fmm(
-            Arc::new(Laplace),
-            FmmConfig {
-                order: 4,
-                q: 30,
-                m2l: M2lMode::Fft,
-                ..Default::default()
-            },
-            pts.clone(),
-            1,
-        );
-        let d: std::collections::HashMap<u64, Vec<f64>> = dense.into_iter().collect();
-        for (gid, pf) in fft {
-            let pd = &d[&gid];
-            for (a, b) in pf.iter().zip(pd) {
-                assert!((a - b).abs() < 1e-8 * b.abs().max(1e-3), "{a} vs {b}");
-            }
-        }
     }
 
     /// Full-pipeline agreement of the batched spectral path with the
@@ -707,7 +597,6 @@ mod tests {
         let cfg = FmmConfig {
             order: 6,
             q: 40,
-            m2l: M2lMode::Fft,
             ..Default::default()
         };
         let gp = run_fmm(Arc::new(Laplace), cfg, pts.clone(), 1);
@@ -723,7 +612,6 @@ mod tests {
         let cfg = FmmConfig {
             order: 4,
             q: 50,
-            m2l: M2lMode::Fft,
             ..Default::default()
         };
         let gp = run_fmm(Arc::new(k), cfg, pts.clone(), 1);
@@ -738,7 +626,6 @@ mod tests {
         let cfg = FmmConfig {
             order: 4,
             q: 30,
-            m2l: M2lMode::Fft,
             ..Default::default()
         };
         let seq = run_fmm(Arc::new(Laplace), cfg, pts.clone(), 1);
@@ -769,7 +656,7 @@ mod tests {
     fn graph_schedule_matches_barrier_bitwise() {
         let mut pts = uniform_cube(900, 31, 0);
         randomize_densities(&mut pts, 1, 17);
-        for m2l in [M2lMode::Dense, M2lMode::Fft, M2lMode::FftBatched] {
+        for m2l in [M2lMode::Dense, M2lMode::FftBatched] {
             for (p, threads) in [(1usize, 1usize), (4, 2)] {
                 let base = FmmConfig {
                     order: 4,
@@ -798,230 +685,6 @@ mod tests {
                             "m2l={m2l:?} p={p} gid={gid}: graph {a} vs barrier {w}"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    /// The parallel setup engine is bitwise inert: the radix sort,
-    /// parallel tree/LET/list construction, and parallel plan precompute
-    /// must reproduce the serial setup's potentials bit for bit — under
-    /// both schedules, on adaptive nonuniform trees, for scalar and
-    /// vector kernels, sequential and distributed.
-    #[test]
-    fn parallel_setup_matches_serial_bitwise() {
-        let kernels: Vec<Arc<dyn Kernel>> = vec![Arc::new(Laplace), Arc::new(Stokes { mu: 0.8 })];
-        for kernel in kernels {
-            let sd = kernel.source_dim();
-            let mut pts = ellipsoid_1_1_4(700, 53, 0);
-            randomize_densities(&mut pts, sd, 19);
-            for schedule in [Schedule::Barrier, Schedule::Graph] {
-                for (p, threads) in [(1usize, 2usize), (3, 2)] {
-                    let base = FmmConfig {
-                        order: 4,
-                        q: 20,
-                        schedule,
-                        threads,
-                        setup: SetupMode::Parallel,
-                        ..Default::default()
-                    };
-                    let par = run_fmm(kernel.clone(), base, pts.clone(), p);
-                    let ser = run_fmm(
-                        kernel.clone(),
-                        FmmConfig {
-                            setup: SetupMode::Serial,
-                            ..base
-                        },
-                        pts.clone(),
-                        p,
-                    );
-                    let s: std::collections::HashMap<u64, Vec<f64>> = ser.into_iter().collect();
-                    assert_eq!(par.len(), s.len());
-                    for (gid, pot) in par {
-                        for (a, w) in pot.iter().zip(&s[&gid]) {
-                            assert_eq!(
-                                a.to_bits(),
-                                w.to_bits(),
-                                "{} sched={schedule:?} p={p} gid={gid}: parallel {a} vs serial {w}",
-                                kernel.name()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Property test for the tiled near-field: on clustered/nonuniform
-    /// points with exact duplicates (coincident target/source pairs —
-    /// self-interaction suppressed identically in both paths), the tiled
-    /// and scalar U-list engines must agree to roundoff across all four
-    /// kernels. Only the U-list differs between the runs, so the
-    /// end-to-end potentials isolate exactly that phase.
-    #[test]
-    fn tiled_ulist_matches_scalar_all_kernels() {
-        let kernels: [Arc<dyn Kernel>; 4] = [
-            Arc::new(Laplace),
-            Arc::new(Yukawa { lambda: 2.0 }),
-            Arc::new(Stokes { mu: 0.8 }),
-            Arc::new(LaplaceDipole),
-        ];
-        let mut pts = ellipsoid_1_1_4(600, 47, 0);
-        // Exact duplicates: every 7th point sits on top of its
-        // predecessor (same leaf, zero distance in the U-list).
-        for i in (7..pts.len()).step_by(7) {
-            pts[i].pos = pts[i - 1].pos;
-        }
-        for k in kernels {
-            let sd = k.source_dim();
-            randomize_densities(&mut pts, sd, 29);
-            let base = FmmConfig {
-                order: 4,
-                q: 24,
-                ulist: UlistMode::Scalar,
-                ..Default::default()
-            };
-            let scalar = run_fmm(Arc::clone(&k), base, pts.clone(), 1);
-            let tiled = run_fmm(
-                Arc::clone(&k),
-                FmmConfig {
-                    ulist: UlistMode::Tiled,
-                    ..base
-                },
-                pts.clone(),
-                1,
-            );
-            let s: std::collections::HashMap<u64, Vec<f64>> = scalar.into_iter().collect();
-            let scale = s.values().flatten().fold(0.0f64, |a, v| a.max(v.abs()));
-            assert_eq!(tiled.len(), s.len());
-            for (gid, pot) in tiled {
-                for (a, w) in pot.iter().zip(&s[&gid]) {
-                    assert!(
-                        (a - w).abs() <= 1e-12 * scale,
-                        "{} gid={gid}: tiled {a} vs scalar {w} (scale {scale})",
-                        k.name()
-                    );
-                }
-            }
-        }
-    }
-
-    /// The bitwise barrier==graph guarantee must hold for the scalar
-    /// U-list mode too (the default-path modes are covered by
-    /// `graph_schedule_matches_barrier_bitwise`, which runs under the
-    /// tiled default).
-    #[test]
-    fn graph_matches_barrier_bitwise_scalar_ulist() {
-        let mut pts = uniform_cube(900, 31, 0);
-        randomize_densities(&mut pts, 1, 17);
-        for (p, threads) in [(1usize, 1usize), (4, 2)] {
-            let base = FmmConfig {
-                order: 4,
-                q: 30,
-                threads,
-                ulist: UlistMode::Scalar,
-                ..Default::default()
-            };
-            let barrier = run_fmm(Arc::new(Laplace), base, pts.clone(), p);
-            let graph = run_fmm(
-                Arc::new(Laplace),
-                FmmConfig {
-                    schedule: Schedule::Graph,
-                    ..base
-                },
-                pts.clone(),
-                p,
-            );
-            let b: std::collections::HashMap<u64, Vec<f64>> = barrier.into_iter().collect();
-            for (gid, pot) in graph {
-                for (a, w) in pot.iter().zip(&b[&gid]) {
-                    assert_eq!(a.to_bits(), w.to_bits(), "p={p} gid={gid}");
-                }
-            }
-        }
-    }
-
-    /// The level-batched GEMM translations must match the per-box matvec
-    /// path on adaptive nonuniform trees (with coincident-point
-    /// duplicates) across all four kernels. Only the up/down translation
-    /// engine differs between the runs, and the grouped path preserves
-    /// every per-destination accumulation order, so the agreement is
-    /// bitwise — strictly stronger than the 1e-12 acceptance bound.
-    #[test]
-    fn translate_gemm_matches_matvec_all_kernels() {
-        let kernels: [Arc<dyn Kernel>; 4] = [
-            Arc::new(Laplace),
-            Arc::new(Yukawa { lambda: 2.0 }),
-            Arc::new(Stokes { mu: 0.8 }),
-            Arc::new(LaplaceDipole),
-        ];
-        let mut pts = ellipsoid_1_1_4(600, 47, 0);
-        for i in (7..pts.len()).step_by(7) {
-            pts[i].pos = pts[i - 1].pos;
-        }
-        for k in kernels {
-            let sd = k.source_dim();
-            randomize_densities(&mut pts, sd, 31);
-            let base = FmmConfig {
-                order: 4,
-                q: 24,
-                translate: TranslateMode::Matvec,
-                ..Default::default()
-            };
-            let matvec = run_fmm(Arc::clone(&k), base, pts.clone(), 1);
-            let gemm = run_fmm(
-                Arc::clone(&k),
-                FmmConfig {
-                    translate: TranslateMode::Gemm,
-                    ..base
-                },
-                pts.clone(),
-                1,
-            );
-            let m: std::collections::HashMap<u64, Vec<f64>> = matvec.into_iter().collect();
-            assert_eq!(gemm.len(), m.len());
-            for (gid, pot) in gemm {
-                for (a, w) in pot.iter().zip(&m[&gid]) {
-                    assert_eq!(
-                        a.to_bits(),
-                        w.to_bits(),
-                        "{} gid={gid}: gemm {a} vs matvec {w}",
-                        k.name()
-                    );
-                }
-            }
-        }
-    }
-
-    /// The bitwise barrier==graph guarantee must hold under the per-box
-    /// matvec translation mode too (the gemm default is covered by
-    /// `graph_schedule_matches_barrier_bitwise`).
-    #[test]
-    fn graph_matches_barrier_bitwise_matvec_translate() {
-        let mut pts = uniform_cube(900, 31, 0);
-        randomize_densities(&mut pts, 1, 17);
-        for (p, threads) in [(1usize, 1usize), (4, 2)] {
-            let base = FmmConfig {
-                order: 4,
-                q: 30,
-                threads,
-                translate: TranslateMode::Matvec,
-                ..Default::default()
-            };
-            let barrier = run_fmm(Arc::new(Laplace), base, pts.clone(), p);
-            let graph = run_fmm(
-                Arc::new(Laplace),
-                FmmConfig {
-                    schedule: Schedule::Graph,
-                    ..base
-                },
-                pts.clone(),
-                p,
-            );
-            let b: std::collections::HashMap<u64, Vec<f64>> = barrier.into_iter().collect();
-            for (gid, pot) in graph {
-                for (a, w) in pot.iter().zip(&b[&gid]) {
-                    assert_eq!(a.to_bits(), w.to_bits(), "p={p} gid={gid}");
                 }
             }
         }
@@ -1073,7 +736,6 @@ mod tests {
             FmmConfig {
                 order: 4,
                 q: 20,
-                m2l: M2lMode::Fft,
                 ..Default::default()
             },
         );
@@ -1138,7 +800,6 @@ mod tests {
                     order: 4,
                     q: 30,
                     schedule,
-                    ulist: UlistMode::Tiled,
                     ..Default::default()
                 },
             );

@@ -27,16 +27,14 @@
 //! reduction folds rounds identically in its blocking and poll-driven
 //! forms, so the two schedules produce bitwise-identical potentials.
 //!
-//! The U2U/D2D traversals default to the paper's sequential form;
-//! `FmmConfig::traversal_threads > 1` enables the level-synchronous
-//! parallel variant the paper lists as unexploited future work ("the U2U
-//! and D2D steps can be also executed in parallel").
+//! The shared-operator up/down translations (uc2e/dc2e solves, U2U, D2D)
+//! run level by level as batched multi-RHS GEMMs over the plan-time
+//! groups of [`crate::translate`]; each level is one task on one thread.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pfmm_fft::Complex;
 use pfmm_kernels::{direct_eval, Kernel, Point3, TileKernel, Tiles, LANE};
 use pfmm_morton::MortonKey;
 use pfmm_mpisim::{Comm, CommStats};
@@ -44,21 +42,17 @@ use pfmm_sched::{CommPoll, Graph, GraphBuf, Slot, TraceCtx};
 use pfmm_trace::{tid_worker, TraceLevel, Tracer, TID_MAIN};
 use pfmm_tree::{Let, Lists};
 
-use crate::driver::{Fmm, M2lMode, Reduction, Schedule, TranslateMode, UlistMode};
+use crate::driver::{Fmm, M2lMode, Reduction, Schedule};
 use crate::nearfield::NearField;
 use crate::translate::TranslatePlan;
 
-/// V-list source spectra, shared between the FFT pass-1 task and the
-/// per-chunk pass-2 tasks.
-type Spectra = Arc<Vec<Option<Arc<Vec<Complex>>>>>;
 /// Batched-mode pass-1 product: the split-complex source spectra (the
 /// kernel-spectrum table lives in the workspace since it is
 /// density-independent).
 type BatchedSpectra = Arc<SourceSpectra>;
 use crate::m2l_batched::{offset_slot, FftBatchedM2l, SourceSpectra, SpectraTable, SpectraTmp};
-use crate::m2l_fft::FftM2l;
 use crate::ops::Ops;
-use crate::par::{par_map, par_map_n, par_windows, par_windows_weighted, weighted_cuts, SetupPar};
+use crate::par::{par_map_n, par_windows, par_windows_weighted, weighted_cuts, SetupPar};
 use crate::profile::{flop_model, Phase, Profile};
 use crate::reduce::{reduce_scatter_hypercube, reduce_scatter_naive, HypercubeReduceAsync};
 use crate::workspace::{EvalWorkspace, WorkerScratch};
@@ -151,7 +145,7 @@ impl EvalData {
 
 /// Offset of the target `beta` relative to the source `alpha` in units of
 /// the octant side — the argument convention of `Ops::m2l` and
-/// `FftM2l::kernel_spectrum` (both build the operator with the source
+/// `FftBatchedM2l::build_table` (both build the operator with the source
 /// centered at the origin and the target displaced by `offset · 2r`).
 pub(crate) fn offset_of(alpha: &MortonKey, beta: &MortonKey) -> [i8; 3] {
     debug_assert_eq!(alpha.level(), beta.level());
@@ -174,8 +168,8 @@ pub(crate) fn offset_of(alpha: &MortonKey, beta: &MortonKey) -> [i8; 3] {
 /// monomorphized `eval_tiles` call per box amortizes that away and lets
 /// the kernel body vectorize.
 ///
-/// Both translate modes and both executors share this path, so it leaves
-/// every bitwise-equality invariant intact (`eval_tiles` keeps one
+/// Both executors share this path, so it leaves every bitwise-equality
+/// invariant intact (`eval_tiles` keeps one
 /// accumulator per target output walking sources in order; padding lanes
 /// contribute exactly `0.0`).
 #[derive(Default)]
@@ -266,30 +260,26 @@ impl TileEval {
 struct Ctx<'a> {
     kernel: &'a dyn Kernel,
     ops: &'a Ops,
-    fft: &'a FftM2l,
     fftb: &'a FftBatchedM2l,
     l: &'a Let,
     lists: &'a Lists,
     leaf_pos: &'a [Vec<Point3>],
     leaf_den: &'a [Vec<f64>],
-    /// Tiled near-field layout + microkernels; `None` runs the scalar
-    /// U-list path (`--ulist=scalar`, or a kernel without tile support).
+    /// Tiled near-field layout; `None` only for a kernel without tile
+    /// microkernels, which runs the scalar U-list path.
     nf: Option<&'a NearField>,
     /// Workspace-owned batched-M2L kernel-spectrum table (fft-batched
     /// mode; a superset of every key an apply can need).
     btable: Option<&'a SpectraTable>,
+    /// Tile microkernels for the U-list and the per-box point↔surface
+    /// direct evals (S2U check, D2T, W, X); `None` falls back to the
+    /// scalar `direct_eval`.
     tk: Option<&'a dyn TileKernel>,
-    /// Tile microkernels for the per-box point↔surface direct evals
-    /// (S2U check, D2T, W, X) — unlike `tk`, not gated on the near-field
-    /// layout; `None` falls back to the scalar `direct_eval`.
-    tkd: Option<&'a dyn TileKernel>,
     ulen: usize,
     clen: usize,
     td: usize,
     flops_pair: u64,
-    /// Threads for the level-synchronous U2U/D2D traversals.
-    tt: usize,
-    /// Plan-time translation grouping (`--translate=gemm` engine).
+    /// Plan-time translation grouping.
     tp: &'a TranslatePlan,
     /// Groups below this many right-hand sides use the per-box matvec
     /// fallback (bitwise identical — the break-even is numerics-free).
@@ -308,7 +298,6 @@ impl Ctx<'_> {
         Ctx {
             kernel: fmm.kernel(),
             ops: fmm.ops(),
-            fft: fmm.fft(),
             fftb: fmm.fft_batched(),
             l,
             lists,
@@ -316,56 +305,14 @@ impl Ctx<'_> {
             leaf_den: &data.leaf_den,
             nf,
             btable,
-            tk: nf.and(fmm.kernel().as_tile_kernel()),
-            tkd: fmm.kernel().as_tile_kernel(),
+            tk: fmm.kernel().as_tile_kernel(),
             ulen: fmm.ops().density_len(),
             clen: fmm.ops().check_len(),
             td: fmm.kernel().target_dim(),
             flops_pair: fmm.kernel().flops_per_pair(),
-            tt: fmm.config().traversal_threads.max(1),
             tp: &data.translate,
             gemm_min: crate::tune::translate_breakeven_boxes(),
         }
-    }
-
-    /// (1) S2U for octants in `range`; `window` is the matching slice of
-    /// the upward-density array (element 0 at global offset `base`).
-    fn s2u_range(
-        &self,
-        range: Range<usize>,
-        window: &mut [f64],
-        base: usize,
-        sc: &mut WorkerScratch,
-    ) -> u64 {
-        let (l, ops, ulen) = (self.l, self.ops, self.ulen);
-        let mut fl = 0u64;
-        sc.check.clear();
-        sc.check.resize(self.clen, 0.0);
-        for i in range {
-            if !l.owned[i] || self.leaf_pos[i].is_empty() {
-                continue;
-            }
-            let key = l.octs[i];
-            ops.up_check_surface_into(&key.center(), key.radius(), &mut sc.surf);
-            sc.check.fill(0.0);
-            sc.te.eval(
-                self.tkd,
-                self.kernel,
-                &sc.surf,
-                &self.leaf_pos[i],
-                &self.leaf_den[i],
-                &mut sc.check,
-            );
-            let (m, s) = ops.uc2e(key.level());
-            m.matvec_acc_scaled(
-                &sc.check,
-                &mut window[i * ulen - base..(i + 1) * ulen - base],
-                s,
-            );
-            fl += self.leaf_pos[i].len() as u64 * sc.surf.len() as u64 * self.flops_pair
-                + 2 * (ulen * self.clen) as u64;
-        }
-        fl
     }
 
     /// Initial upward occupancy for octants in `range` (`window[0]`
@@ -377,54 +324,11 @@ impl Ctx<'_> {
         }
     }
 
-    /// (2) One U2U level, level-synchronous: child contributions are
-    /// computed (in parallel with `tt > 1`) into disjoint staging
-    /// buffers, then scatter-added to the parents in `by_level` order —
-    /// the fixed merge order both executors share.
-    fn u2u_level(
-        &self,
-        by_level: &[Vec<u32>],
-        level: u32,
-        u: &mut [f64],
-        has_up: &mut [bool],
-    ) -> u64 {
-        let (l, ops, ulen) = (self.l, self.ops, self.ulen);
-        let active: Vec<usize> = by_level[level as usize]
-            .iter()
-            .map(|&iu| iu as usize)
-            .filter(|&i| has_up[i])
-            .collect();
-        if active.is_empty() {
-            return 0;
-        }
-        let contribs: Vec<(usize, Vec<f64>)> = {
-            let u_ro = &*u;
-            par_map(self.tt, &active, |i| {
-                let key = l.octs[i];
-                let parent = key.parent().expect("level >= 1");
-                let pi = l.find(&parent).expect("parent of a local octant is local");
-                let (m, s) = ops.u2u(level, key.child_index());
-                let mut contrib = vec![0.0f64; ulen];
-                m.matvec_acc_scaled(&u_ro[i * ulen..(i + 1) * ulen], &mut contrib, s);
-                (pi, contrib)
-            })
-        };
-        let mut fl = 0u64;
-        for (pi, contrib) in contribs {
-            for (a, b) in u[pi * ulen..(pi + 1) * ulen].iter_mut().zip(&contrib) {
-                *a += b;
-            }
-            has_up[pi] = true;
-            fl += 2 * (ulen * ulen) as u64;
-        }
-        fl
-    }
-
-    /// (1a, gemm) S2U check potentials only: sources evaluated onto the
-    /// up-check surface for owned leaves in `range`, written into the
-    /// matching slice of the check buffer (zero on entry, like the scalar
-    /// path's per-leaf `ucheck.fill(0.0)`). The per-level uc2e solves run
-    /// afterwards as level-batched GEMMs ([`Ctx::s2u_solve_levels`]).
+    /// (1a) S2U check potentials: sources evaluated onto the up-check
+    /// surface for owned leaves in `range`, written into the matching
+    /// slice of the check buffer (zero on entry). The per-level uc2e
+    /// solves run afterwards as level-batched GEMMs
+    /// ([`Ctx::s2u_solve_levels`]).
     fn s2u_check_range(
         &self,
         range: Range<usize>,
@@ -441,7 +345,7 @@ impl Ctx<'_> {
             let key = l.octs[i];
             ops.up_check_surface_into(&key.center(), key.radius(), &mut sc.surf);
             sc.te.eval(
-                self.tkd,
+                self.tk,
                 self.kernel,
                 &sc.surf,
                 &self.leaf_pos[i],
@@ -453,11 +357,11 @@ impl Ctx<'_> {
         fl
     }
 
-    /// (1b, gemm) Per-level uc2e solves, one batched group per level:
-    /// gather the occupied leaves' check potentials as RHS columns, solve
-    /// them together, scatter into the upward densities. Per box this is
-    /// `u += s * (uc2e · ucheck)` with the scalar path's accumulation
-    /// order, so the result is bitwise identical to `s2u_range`.
+    /// (1b) Per-level uc2e solves, one batched group per level: gather
+    /// the occupied leaves' check potentials as RHS columns, solve them
+    /// together, scatter into the upward densities. Per box this is
+    /// `u += s * (uc2e · ucheck)` with the per-box matvec's accumulation
+    /// order (`crate::translate`).
     fn s2u_solve_levels(&self, ucheck: &[f64], u: &mut [f64], sc: &mut WorkerScratch) -> u64 {
         let (ops, ulen, clen) = (self.ops, self.ulen, self.clen);
         let sc = &mut sc.tsc;
@@ -474,10 +378,9 @@ impl Ctx<'_> {
         fl
     }
 
-    /// (2', gemm) One U2U level as up to 8 class-grouped GEMMs. Children
-    /// of one parent arrive in ascending child-index order — the same
-    /// per-parent merge order as the scalar `u2u_level` — so the upward
-    /// densities stay bitwise identical.
+    /// (2) One U2U level as up to 8 class-grouped GEMMs. Children of one
+    /// parent arrive in ascending child-index order, a fixed per-parent
+    /// merge order that both executors share.
     fn u2u_level_gemm(
         &self,
         level: u32,
@@ -503,11 +406,10 @@ impl Ctx<'_> {
         fl
     }
 
-    /// (4', gemm) D2D over the whole LET: per level one batched dc2e
-    /// solve over every local octant, then up to 8 class-grouped L2L
-    /// GEMMs gathering the (already final) parent densities. Per octant
-    /// the accumulation order is `d = s₁·(dc2e·dcheck) + s₂·(d2d·parent)`
-    /// — the scalar `d2d_levels` order — so `d` stays bitwise identical.
+    /// (4) D2D over the whole LET: per level one batched dc2e solve over
+    /// every local octant, then up to 8 class-grouped L2L GEMMs gathering
+    /// the (already final) parent densities. Per octant the accumulation
+    /// order is `d = s₁·(dc2e·dcheck) + s₂·(d2d·parent)`.
     fn d2d_levels_gemm(
         &self,
         max_level: u32,
@@ -527,9 +429,8 @@ impl Ctx<'_> {
             let (dm, s) = ops.dc2e(level);
             g.pack(clen, dcheck, sc);
             g.apply(&dm, s, clen, ulen, self.gemm_min, sc, d);
-            // Charged like the scalar path: solve + translation per box
-            // (whether or not the parent is present), keeping the two
-            // modes' profile totals identical.
+            // Charged as solve + translation per box, whether or not the
+            // parent is present.
             fl += g.len() as u64 * (2 * (ulen * clen) as u64 + 2 * (ulen * ulen) as u64);
             if level == 0 {
                 continue;
@@ -551,6 +452,7 @@ impl Ctx<'_> {
     /// tiled layout present this dispatches to the SoA microkernels —
     /// same target boxes, same per-target accumulation order (CSR rows
     /// sorted by source box), so both executors stay bitwise identical.
+    /// Kernels without tile microkernels take the scalar loop below.
     fn uli_range(&self, range: Range<usize>, window: &mut [f64], base: usize) -> u64 {
         if let (Some(nf), Some(tk)) = (self.nf, self.tk) {
             return nf.eval_range(tk, self.td, self.flops_pair, range, window, base);
@@ -604,7 +506,7 @@ impl Ctx<'_> {
                     continue;
                 }
                 sc.te.eval(
-                    self.tkd,
+                    self.tk,
                     self.kernel,
                     &sc.surf,
                     &self.leaf_pos[ai],
@@ -670,88 +572,6 @@ impl Ctx<'_> {
         }
         sources.clear();
         sources.extend((0..noct).filter(|&i| needed[i]));
-    }
-
-    /// V-list FFT pass 1: forward-transform every V-list source once.
-    /// The `uhat` option table is epoch-cleared and reused; the spectra
-    /// themselves are freshly `Arc`'d (the fft mode is an ablation path,
-    /// outside the zero-allocation guarantee).
-    fn vli_fft_spectra_into(
-        &self,
-        has_up: &[bool],
-        u: &[f64],
-        threads: usize,
-        needed: &mut Vec<bool>,
-        sources: &mut Vec<usize>,
-        uhat: &mut Vec<Option<Arc<Vec<Complex>>>>,
-    ) -> u64 {
-        let (fft, ulen) = (self.fft, self.ulen);
-        let noct = self.l.len();
-        let g = fft.grid_len();
-        self.vli_mark_sources(has_up, needed, sources);
-        let spectra = par_map(threads, sources, |ai| {
-            Arc::new(fft.source_spectrum(&u[ai * ulen..(ai + 1) * ulen]))
-        });
-        uhat.clear();
-        uhat.resize(noct, None);
-        for (ai, spec) in sources.iter().zip(spectra) {
-            uhat[*ai] = Some(spec);
-        }
-        let sd = self.kernel.source_dim();
-        sources.len() as u64 * flop_model::fft_c2c(g) * sd as u64
-    }
-
-    /// Allocating wrapper for the graph executor's pass-1 task.
-    fn vli_fft_spectra(
-        &self,
-        has_up: &[bool],
-        u: &[f64],
-        threads: usize,
-    ) -> (Vec<Option<Arc<Vec<Complex>>>>, u64) {
-        let (mut needed, mut sources, mut uhat) = (Vec::new(), Vec::new(), Vec::new());
-        let fl =
-            self.vli_fft_spectra_into(has_up, u, threads, &mut needed, &mut sources, &mut uhat);
-        (uhat, fl)
-    }
-
-    /// V-list FFT pass 2: accumulate and inverse-transform per target.
-    fn vli_fft_range(
-        &self,
-        has_up: &[bool],
-        uhat: &[Option<Arc<Vec<Complex>>>],
-        range: Range<usize>,
-        window: &mut [f64],
-        base: usize,
-    ) -> u64 {
-        let (l, fft, clen) = (self.l, self.fft, self.clen);
-        let g = fft.grid_len();
-        let (sd, td) = (self.kernel.source_dim(), self.td);
-        let mut fl = 0u64;
-        for bi in range {
-            if !l.local[bi] || self.lists.v.row(bi).is_empty() {
-                continue;
-            }
-            let beta = l.octs[bi];
-            let mut acc = fft.new_accumulator();
-            let mut any = false;
-            for &ai in self.lists.v.row(bi) {
-                let ai = ai as usize;
-                if !has_up[ai] {
-                    continue;
-                }
-                let alpha = l.octs[ai];
-                let (khat, s) = fft.kernel_spectrum(beta.level(), offset_of(&alpha, &beta));
-                let src = uhat[ai].as_ref().expect("transformed in pass 1");
-                fft.accumulate(&mut acc, &khat, src, s);
-                fl += flop_model::hadamard_edge(g, sd, td);
-                any = true;
-            }
-            if any {
-                fft.finish(acc, &mut window[bi * clen - base..(bi + 1) * clen - base]);
-                fl += flop_model::fft_c2c(g) * td as u64;
-            }
-        }
-        fl
     }
 
     /// V-list batched pass 1: half-spectrum transform every V-list
@@ -871,51 +691,6 @@ impl Ctx<'_> {
         fl
     }
 
-    /// (4) D2D, level-synchronous over the whole LET (see the U2U
-    /// comment); at each level the parents are final, so every child's
-    /// update is independent.
-    fn d2d_levels(
-        &self,
-        by_level: &[Vec<u32>],
-        max_level: u32,
-        dcheck: &[f64],
-        d: &mut [f64],
-    ) -> u64 {
-        let (l, ops, ulen, clen) = (self.l, self.ops, self.ulen, self.clen);
-        let mut fl = 0u64;
-        for level in 0..=max_level {
-            let active: Vec<usize> = by_level[level as usize]
-                .iter()
-                .map(|&iu| iu as usize)
-                .collect();
-            if active.is_empty() {
-                continue;
-            }
-            let updates: Vec<(usize, Vec<f64>)> = {
-                let d_ro = &*d;
-                par_map(self.tt, &active, |i| {
-                    let key = l.octs[i];
-                    let (dc2e, s) = ops.dc2e(level);
-                    let mut di = vec![0.0f64; ulen];
-                    dc2e.matvec_acc_scaled(&dcheck[i * clen..(i + 1) * clen], &mut di, s);
-                    if level > 0 {
-                        let parent = key.parent().expect("level >= 1");
-                        if let Some(pi) = l.find(&parent) {
-                            let (m, s) = ops.d2d(level, key.child_index());
-                            m.matvec_acc_scaled(&d_ro[pi * ulen..(pi + 1) * ulen], &mut di, s);
-                        }
-                    }
-                    (i, di)
-                })
-            };
-            for (i, di) in updates {
-                d[i * ulen..(i + 1) * ulen].copy_from_slice(&di);
-                fl += 2 * (ulen * clen) as u64 + 2 * (ulen * ulen) as u64;
-            }
-        }
-        fl
-    }
-
     /// (5b) D2T for owned leaves in `range`.
     fn d2t_range(
         &self,
@@ -935,7 +710,7 @@ impl Ctx<'_> {
             ops.down_equiv_surface_into(&key.center(), key.radius(), &mut sc.surf);
             let (off, n) = (l.pt_off[i], self.leaf_pos[i].len());
             sc.te.eval(
-                self.tkd,
+                self.tk,
                 self.kernel,
                 &self.leaf_pos[i],
                 &sc.surf,
@@ -973,7 +748,7 @@ impl Ctx<'_> {
                 let alpha = l.octs[ai];
                 ops.up_equiv_surface_into(&alpha.center(), alpha.radius(), &mut sc.surf);
                 sc.te.eval(
-                    self.tkd,
+                    self.tk,
                     self.kernel,
                     &self.leaf_pos[bi],
                     &sc.surf,
@@ -1072,8 +847,9 @@ pub fn run_phases(
     // The tiled near-field layout is shared by both executors: built on
     // the workspace's first run, density-refreshed in place afterwards.
     // Both costs are charged to the U-list phase, the same way the GPU
-    // pipeline charges its data-structure translation.
-    if fmm.config().ulist == UlistMode::Tiled && fmm.kernel().as_tile_kernel().is_some() {
+    // pipeline charges its data-structure translation. Kernels without
+    // tile microkernels have no layout and run the scalar U-list.
+    if fmm.kernel().as_tile_kernel().is_some() {
         match ws.nf.as_mut() {
             Some(nf) => {
                 let t0 = std::time::Instant::now();
@@ -1170,7 +946,6 @@ fn run_phases_barrier(
         ref mut f,
         ref mut needed,
         ref mut sources,
-        ref mut uhat,
         ref mut src,
         ..
     } = *ws;
@@ -1178,56 +953,39 @@ fn run_phases_barrier(
     let threads = cfg.threads.max(1);
     let noct = l.len();
     let (ulen, clen, td) = (cx.ulen, cx.clen, cx.td);
-    let by_level = &data.by_level;
     let max_level = data.max_level;
     let cxr = &cx;
     let pt = PhaseTrace::new(tracer, c);
     let pt = &pt;
 
-    // (1) S2U and (2) U2U — the upward pass. S2U is per-leaf parallel.
-    // In gemm mode the per-leaf pass computes only the check potentials;
-    // the uc2e solves and the U2U translations then run as level-batched
-    // multi-RHS GEMMs over the plan-time groups (bitwise identical to the
-    // scalar path — see `crate::translate`).
+    // (1) S2U and (2) U2U — the upward pass. The per-leaf pass computes
+    // only the check potentials (per-leaf parallel); the uc2e solves and
+    // the U2U translations then run as level-batched multi-RHS GEMMs over
+    // the plan-time groups (`crate::translate`).
     pt.phase(Phase::Upward, || {
-        prof.timed(Phase::Upward, |prof| match cfg.translate {
-            TranslateMode::Gemm => {
-                let flops = par_windows(
-                    threads,
-                    noct,
-                    ucheck,
-                    &|i| i * clen,
-                    |range, window, base| {
-                        pt.chunk(Phase::Upward, || {
-                            pool.with(|sc| cxr.s2u_check_range(range, window, base, sc))
-                        })
-                    },
-                );
-                prof.add_flops(Phase::Upward, flops);
-                cx.mark_has_up_range(0..noct, has_up);
+        prof.timed(Phase::Upward, |prof| {
+            let flops = par_windows(
+                threads,
+                noct,
+                ucheck,
+                &|i| i * clen,
+                |range, window, base| {
+                    pt.chunk(Phase::Upward, || {
+                        pool.with(|sc| cxr.s2u_check_range(range, window, base, sc))
+                    })
+                },
+            );
+            prof.add_flops(Phase::Upward, flops);
+            cx.mark_has_up_range(0..noct, has_up);
+            let fl = pt.chunk(Phase::Upward, || {
+                pool.with(|sc| cx.s2u_solve_levels(ucheck, u, sc))
+            });
+            prof.add_flops(Phase::Upward, fl);
+            for level in (1..=max_level).rev() {
                 let fl = pt.chunk(Phase::Upward, || {
-                    pool.with(|sc| cx.s2u_solve_levels(ucheck, u, sc))
+                    pool.with(|sc| cx.u2u_level_gemm(level, u, has_up, sc))
                 });
                 prof.add_flops(Phase::Upward, fl);
-                for level in (1..=max_level).rev() {
-                    let fl = pt.chunk(Phase::Upward, || {
-                        pool.with(|sc| cx.u2u_level_gemm(level, u, has_up, sc))
-                    });
-                    prof.add_flops(Phase::Upward, fl);
-                }
-            }
-            TranslateMode::Matvec => {
-                let flops = par_windows(threads, noct, u, &|i| i * ulen, |range, window, base| {
-                    pt.chunk(Phase::Upward, || {
-                        pool.with(|sc| cxr.s2u_range(range, window, base, sc))
-                    })
-                });
-                prof.add_flops(Phase::Upward, flops);
-                cx.mark_has_up_range(0..noct, has_up);
-                for level in (1..=max_level).rev() {
-                    let fl = pt.chunk(Phase::Upward, || cx.u2u_level(by_level, level, u, has_up));
-                    prof.add_flops(Phase::Upward, fl);
-                }
             }
         })
     });
@@ -1316,23 +1074,6 @@ fn run_phases_barrier(
                 );
                 prof.add_flops(Phase::VList, flops);
             }
-            M2lMode::Fft => {
-                let fl = cx.vli_fft_spectra_into(has_up, u, threads, needed, sources, uhat);
-                prof.add_flops(Phase::VList, fl);
-                let uhat: &[Option<Arc<Vec<Complex>>>] = uhat;
-                let flops = par_windows_weighted(
-                    threads,
-                    vli_weights,
-                    dcheck,
-                    &|i| i * clen,
-                    |range, window, base| {
-                        pt.chunk(Phase::VList, || {
-                            cxr.vli_fft_range(has_up, uhat, range, window, base)
-                        })
-                    },
-                );
-                prof.add_flops(Phase::VList, flops);
-            }
             M2lMode::FftBatched => {
                 let table = btable
                     .as_ref()
@@ -1372,9 +1113,8 @@ fn run_phases_barrier(
     // (4) D2D + (5b) D2T — the downward pass.
     pt.phase(Phase::Downward, || {
         prof.timed(Phase::Downward, |prof| {
-            let fl = pt.chunk(Phase::Downward, || match cfg.translate {
-                TranslateMode::Gemm => pool.with(|sc| cx.d2d_levels_gemm(max_level, dcheck, d, sc)),
-                TranslateMode::Matvec => cx.d2d_levels(by_level, max_level, dcheck, d),
+            let fl = pt.chunk(Phase::Downward, || {
+                pool.with(|sc| cx.d2d_levels_gemm(max_level, dcheck, d, sc))
             });
             prof.add_flops(Phase::Downward, fl);
             let d: &[f64] = d;
@@ -1433,7 +1173,6 @@ fn run_phases_graph(
     let workers = cfg.threads.max(1);
     let noct = l.len();
     let (ulen, clen, td) = (cx.ulen, cx.clen, cx.td);
-    let by_level = &data.by_level;
     let max_level = data.max_level;
 
     // Octant chunking: enough chunks to keep the workers fed while the
@@ -1445,16 +1184,12 @@ fn run_phases_graph(
     let nchunks = noct.min((workers * 4).max(4));
     let chunk_weights: Vec<u64> = (0..noct).map(|i| 1 + lists.degree(i) as u64).collect();
     let cuts: Vec<usize> = weighted_cuts(nchunks, &chunk_weights);
-    let oct_base = |i: usize| i * ulen;
     let chk_base = |i: usize| i * clen;
     let pt_base = |i: usize| l.pt_off[i.min(noct)] * td;
 
-    let gemm = cfg.translate == TranslateMode::Gemm;
     // The graph temporarily owns the workspace's pre-zeroed phase
     // buffers (GraphBuf wants ownership); they are restored below after
-    // the run so later applies reuse the allocations. `ucheck` is sized
-    // `noct * clen` only in gemm mode and empty otherwise, matching its
-    // use as the S2U check staging buffer.
+    // the run so later applies reuse the allocations.
     let ub = GraphBuf::new(std::mem::take(u));
     let hub = GraphBuf::new(std::mem::take(has_up));
     let dcb = GraphBuf::new(std::mem::take(dcheck));
@@ -1463,33 +1198,26 @@ fn run_phases_graph(
     let ucb = GraphBuf::new(std::mem::take(ucheck));
     let flops: Vec<AtomicU64> = (0..Phase::ALL.len()).map(|_| AtomicU64::new(0)).collect();
     let comm_delta: Slot<CommStats> = Slot::new();
-    let spectra: Slot<Spectra> = Slot::new();
     let bspectra: Slot<BatchedSpectra> = Slot::new();
 
     let cxr = &cx;
     let (ur, hur, dcr, fr, dbr, ucr) = (&ub, &hub, &dcb, &fb, &db, &ucb);
     let flr = &flops;
     let cdr = &comm_delta;
-    let sp = &spectra;
     let bsp = &bspectra;
 
     let mut g = Graph::new();
 
-    // S2U chunks: disjoint slices of `u` (matvec mode) or of the check
-    // staging buffer (gemm mode), plus this chunk's `has_up` slice.
+    // S2U chunks: disjoint slices of the check staging buffer, plus this
+    // chunk's `has_up` slice.
     let s2u_ids: Vec<_> = (0..nchunks)
         .map(|k| {
             let (lo, hi) = (cuts[k], cuts[k + 1]);
             g.task(Phase::Upward.label(), &[], move || {
-                // Safety: chunk ranges are disjoint; U2U tasks depend on
-                // every S2U chunk before touching `u`/`has_up` globally.
-                let fl = if gemm {
-                    let w = unsafe { ucr.slice_mut(chk_base(lo), chk_base(hi) - chk_base(lo)) };
-                    pool.with(|sc| cxr.s2u_check_range(lo..hi, w, chk_base(lo), sc))
-                } else {
-                    let w = unsafe { ur.slice_mut(oct_base(lo), oct_base(hi) - oct_base(lo)) };
-                    pool.with(|sc| cxr.s2u_range(lo..hi, w, oct_base(lo), sc))
-                };
+                // Safety: chunk ranges are disjoint; the uc2e solve task
+                // depends on every S2U chunk before touching `u`.
+                let w = unsafe { ucr.slice_mut(chk_base(lo), chk_base(hi) - chk_base(lo)) };
+                let fl = pool.with(|sc| cxr.s2u_check_range(lo..hi, w, chk_base(lo), sc));
                 let hw = unsafe { hur.slice_mut(lo, hi - lo) };
                 cxr.mark_has_up_range(lo..hi, hw);
                 flr[Phase::Upward as usize].fetch_add(fl, Ordering::Relaxed);
@@ -1497,20 +1225,17 @@ fn run_phases_graph(
         })
         .collect();
 
-    // Gemm mode inserts the level-batched uc2e solve between the check
-    // chunks and the U2U chain: one task, the sole writer of `u`.
-    let mut upward_tail = s2u_ids;
-    if gemm {
-        let t = g.task(Phase::Upward.label(), &upward_tail, move || {
-            // Safety: all S2U check chunks completed (dependencies); the
-            // U2U chain is behind this task.
-            let uc = unsafe { ucr.as_slice() };
-            let uw = unsafe { ur.slice_mut(0, ur.len()) };
-            let fl = pool.with(|sc| cxr.s2u_solve_levels(uc, uw, sc));
-            flr[Phase::Upward as usize].fetch_add(fl, Ordering::Relaxed);
-        });
-        upward_tail = vec![t];
-    }
+    // The level-batched uc2e solve sits between the check chunks and
+    // the U2U chain: one task, the sole writer of `u`.
+    let solve = g.task(Phase::Upward.label(), &s2u_ids, move || {
+        // Safety: all S2U check chunks completed (dependencies); the U2U
+        // chain is behind this task.
+        let uc = unsafe { ucr.as_slice() };
+        let uw = unsafe { ur.slice_mut(0, ur.len()) };
+        let fl = pool.with(|sc| cxr.s2u_solve_levels(uc, uw, sc));
+        flr[Phase::Upward as usize].fetch_add(fl, Ordering::Relaxed);
+    });
+    let mut upward_tail = vec![solve];
 
     // U2U levels, chained deepest-first (each level reads children and
     // writes parents anywhere in the LET, so levels serialize).
@@ -1520,11 +1245,7 @@ fn run_phases_graph(
             // chain (all S2U chunks and shallower levels completed).
             let uw = unsafe { ur.slice_mut(0, ur.len()) };
             let hw = unsafe { hur.slice_mut(0, noct) };
-            let fl = if gemm {
-                pool.with(|sc| cxr.u2u_level_gemm(level, uw, hw, sc))
-            } else {
-                cxr.u2u_level(by_level, level, uw, hw)
-            };
+            let fl = pool.with(|sc| cxr.u2u_level_gemm(level, uw, hw, sc));
             flr[Phase::Upward as usize].fetch_add(fl, Ordering::Relaxed);
         });
         upward_tail = vec![t];
@@ -1609,13 +1330,6 @@ fn run_phases_graph(
     // FFT path inserts the shared forward-transform pass in between.
     let v_dep = match cfg.m2l {
         M2lMode::Dense => comm_id,
-        M2lMode::Fft => g.task(Phase::VList.label(), &[comm_id], move || {
-            let u_ro = unsafe { ur.as_slice() };
-            let hu = unsafe { hur.as_slice() };
-            let (uhat, fl) = cxr.vli_fft_spectra(hu, u_ro, 1);
-            sp.put(Arc::new(uhat));
-            flr[Phase::VList as usize].fetch_add(fl, Ordering::Relaxed);
-        }),
         M2lMode::FftBatched => g.task(Phase::VList.label(), &[comm_id], move || {
             let u_ro = unsafe { ur.as_slice() };
             let hu = unsafe { hur.as_slice() };
@@ -1634,10 +1348,6 @@ fn run_phases_graph(
                 let w = unsafe { dcr.slice_mut(chk_base(lo), chk_base(hi) - chk_base(lo)) };
                 let fl = match m2l {
                     M2lMode::Dense => cxr.vli_dense_range(hu, u_ro, lo..hi, w, chk_base(lo)),
-                    M2lMode::Fft => {
-                        let uhat = sp.with(Arc::clone);
-                        cxr.vli_fft_range(hu, &uhat, lo..hi, w, chk_base(lo))
-                    }
                     M2lMode::FftBatched => {
                         let b = bsp.with(Arc::clone);
                         let table = cxr
@@ -1658,11 +1368,7 @@ fn run_phases_graph(
     let d2d_id = g.task(Phase::Downward.label(), &vli_ids, move || {
         let dc = unsafe { dcr.as_slice() };
         let dw = unsafe { dbr.slice_mut(0, dbr.len()) };
-        let fl = if gemm {
-            pool.with(|sc| cxr.d2d_levels_gemm(max_level, dc, dw, sc))
-        } else {
-            cxr.d2d_levels(by_level, max_level, dc, dw)
-        };
+        let fl = pool.with(|sc| cxr.d2d_levels_gemm(max_level, dc, dw, sc));
         flr[Phase::Downward as usize].fetch_add(fl, Ordering::Relaxed);
     });
 

@@ -1,4 +1,7 @@
-//! FFT-diagonalized V-list translation (paper §IV).
+//! FFT-diagonalized V-list translation (paper §IV), one edge at a time
+//! against a mutex-guarded kernel-spectrum cache. The CPU evaluator uses
+//! the batched form in [`crate::m2l_batched`]; this engine backs the
+//! simulated-GPU pipeline's full-spectrum f32 V-list (`pfmm-gpusim`).
 //!
 //! The surface points of order `p` are the boundary nodes of a `p³`
 //! lattice, so the M2L map "source equivalent density → target downward

@@ -91,8 +91,6 @@ pub fn plan_fingerprint(
     h.write_u64(cfg.reduction as u64);
     h.write_u64(cfg.sort as u64);
     h.write_u64(cfg.schedule as u64);
-    h.write_u64(cfg.ulist as u64);
-    h.write_u64(cfg.translate as u64);
     h.write_u64(comm_size as u64);
     h.write_u64(points.len() as u64);
     for p in points {
@@ -611,10 +609,10 @@ mod tests {
         };
         assert_ne!(a, plan_fingerprint("laplace", &cfg2, 1, &pts), "order");
         let cfg3 = FmmConfig {
-            translate: crate::driver::TranslateMode::Matvec,
+            m2l: crate::driver::M2lMode::Dense,
             ..cfg
         };
-        assert_ne!(a, plan_fingerprint("laplace", &cfg3, 1, &pts), "translate");
+        assert_ne!(a, plan_fingerprint("laplace", &cfg3, 1, &pts), "m2l");
         let mut moved = pts.clone();
         moved[17].pos[1] += 1e-12;
         assert_ne!(a, plan_fingerprint("laplace", &cfg, 1, &moved), "position");
@@ -623,42 +621,6 @@ mod tests {
         let mut dense = pts.clone();
         randomize_densities(&mut dense, 3, 999);
         assert_eq!(a, plan_fingerprint("laplace", &cfg, 1, &dense));
-    }
-
-    /// The setup engine is a pure implementation detail: parallel and
-    /// serial setup fingerprint identically (the `setup` field never
-    /// participates) and build structurally equal plans — the memory
-    /// accounting, translate grouping, and owned-point ordering agree.
-    #[test]
-    fn setup_mode_is_plan_invariant() {
-        use crate::driver::SetupMode;
-        let pts = uniform_cube(1100, 433, 0);
-        let cfg_par = FmmConfig {
-            order: 4,
-            q: 30,
-            setup: SetupMode::Parallel,
-            threads: 4,
-            ..Default::default()
-        };
-        let cfg_ser = FmmConfig {
-            setup: SetupMode::Serial,
-            ..cfg_par
-        };
-        assert_eq!(
-            plan_fingerprint("laplace", &cfg_par, 1, &pts),
-            plan_fingerprint("laplace", &cfg_ser, 1, &pts),
-            "setup mode never reaches the fingerprint"
-        );
-        let fp = Fmm::new(Arc::new(Laplace), cfg_par);
-        let fs = Fmm::new(Arc::new(Laplace), cfg_ser);
-        run(2, |c| {
-            let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(2).copied().collect();
-            let a = fp.plan(c, mine.clone());
-            let b = fs.plan(c, mine);
-            assert_eq!(a.memory_bytes(), b.memory_bytes(), "byte accounting");
-            assert_eq!(a.data.translate, b.data.translate, "translate grouping");
-            assert_eq!(a.owned_gids, b.owned_gids, "owned ordering");
-        });
     }
 
     /// Plan memory accounting scales with the geometry and is nonzero.
@@ -718,7 +680,6 @@ mod tests {
         let mut pts2 = pts.clone();
         randomize_densities(&mut pts2, 1, 55);
         let f = fmm();
-        assert_eq!(f.config().translate, crate::driver::TranslateMode::Gemm);
         run(1, |c| {
             let mut plan = f.plan(c, pts.clone());
             let groups = plan.data.translate.clone();

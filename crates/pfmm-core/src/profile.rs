@@ -83,8 +83,8 @@ pub mod flop_model {
     /// One U-list edge: `nt` targets against `ns` **real** sources at the
     /// kernel's per-pair cost. Both the scalar and the tiled near-field
     /// paths charge real pairs (padding lanes are wasted work, not
-    /// arithmetic the paper's accounting would count), so the two modes'
-    /// GFLOP/s rates are directly comparable.
+    /// arithmetic the paper's accounting would count), so their GFLOP/s
+    /// rates are directly comparable.
     #[inline]
     pub fn ulist_edge(nt: usize, ns: usize, flops_pair: u64) -> u64 {
         (nt * ns) as u64 * flops_pair
@@ -92,9 +92,8 @@ pub mod flop_model {
 
     /// One level-batched translation group: `m` right-hand sides through
     /// a `rows×cols` operator. Identical to `m` per-box matvecs — the
-    /// GEMM reorganizes data movement, not arithmetic — so the gemm and
-    /// matvec translate modes charge the same flops and their reported
-    /// rates are directly comparable.
+    /// GEMM reorganizes data movement, not arithmetic — so the grouped
+    /// path and its sub-break-even matvec fallback charge the same flops.
     #[inline]
     pub fn translate_group(rows: usize, cols: usize, m: usize) -> u64 {
         2 * (rows * cols) as u64 * m as u64
@@ -363,9 +362,7 @@ impl ProfileSummary {
             ));
         }
         // Achieved up/down translation rate (the phases the level-batched
-        // GEMM engine targets): both translate modes charge identical
-        // flops via `flop_model::translate_group`, so the rate compares
-        // directly across `--translate={gemm,matvec}`.
+        // GEMM engine targets), charged via `flop_model::translate_group`.
         let (_, us, ua) = self.secs[Phase::Upward as usize];
         let (_, ds, da) = self.secs[Phase::Downward as usize];
         let (_, uf, ufa) = self.flops[Phase::Upward as usize];

@@ -21,13 +21,12 @@
 //!
 //! Per destination element the grouped path performs `dst += s * dot`
 //! with the dot product summed in ascending `k` by a single accumulator —
-//! exactly the operation sequence of the scalar `matvec_acc_scaled`
-//! path (`gemm_acc_scaled` is bitwise identical to a per-column matvec;
-//! groups are walked in a fixed level/class/box order that reproduces the
-//! scalar path's per-destination accumulation order). The result is
-//! independent of executor chunking, so barrier and graph schedules stay
-//! bitwise identical, and `--translate=gemm` itself matches
-//! `--translate=matvec` bitwise.
+//! exactly the operation sequence of a per-box `matvec_acc_scaled`
+//! (`gemm_acc_scaled` is bitwise identical to a per-column matvec, see
+//! `group_apply_bitwise_matches_per_box_matvec`; groups are walked in a
+//! fixed level/class/box order that fixes each destination's
+//! accumulation order). The result is independent of executor chunking,
+//! so barrier and graph schedules stay bitwise identical.
 //!
 //! The W/X lists and D2T are *not* groupable this way in the KIFMM: they
 //! are direct kernel evaluations against box-specific point/surface
@@ -164,8 +163,8 @@ pub struct TranslatePlan {
 impl TranslatePlan {
     /// Bucket the LET's octants. `occupied[i]` is the initial upward
     /// occupancy (owned, point-carrying leaf) — the same predicate the
-    /// scalar path's `mark_has_up` uses; U2U membership propagates it
-    /// bottom-up exactly as the level-synchronous scalar sweep would.
+    /// executors' `mark_has_up_range` uses; U2U membership propagates it
+    /// bottom-up level by level.
     pub fn build(l: &Let, by_level: &[Vec<u32>], occupied: &[bool]) -> TranslatePlan {
         TranslatePlan::build_with(l, by_level, occupied, SetupPar::Serial)
     }

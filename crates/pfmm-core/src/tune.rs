@@ -16,19 +16,14 @@
 //! and per-target transforms only pay off once the level carries enough
 //! edges) using the shared [`flop_model`] formulas.
 //!
-//! [`ulist_stats`] / [`ulist_crossover`] do the same for the near field:
-//! the tiled SoA engine trades a per-pair speedup against lane padding
-//! (which inflates the work by `pad(q)/q`) and an `O(N)` tile build, so
-//! leaves below [`ulist_breakeven_points_per_leaf`] points favor the
-//! scalar path.
+//! [`translate_breakeven_boxes`] sizes the smallest operator group the
+//! up/down translation engine hands to the GEMM microkernel; smaller
+//! groups take the bitwise-identical per-box matvec inside the engine.
 
-use pfmm_kernels::LANE;
 use pfmm_mpisim::run;
 use pfmm_tree::{build_let, build_lists, octree_from_sorted, PointRec};
 
 use crate::driver::{Fmm, FmmConfig};
-use crate::exec::EvalData;
-use crate::nearfield::NearField;
 use crate::profile::{flop_model, Phase};
 
 /// Result of one tuning probe.
@@ -229,202 +224,15 @@ pub fn m2l_crossover(fmm: &Fmm, stats: &[M2lLevelStats]) -> Vec<M2lChoice> {
         .collect()
 }
 
-/// Modeled per-pair speedup of the tiled near-field microkernels over
-/// the scalar path — the conservative floor the `ablation_ulist` harness
-/// enforces (≥ 2× on Laplace; wide-SIMD hosts measure higher).
-pub const TILE_PAIR_SPEEDUP: f64 = 2.0;
-
-/// Modeled tile-build cost per point, in scalar-pair equivalents (one
-/// SoA scatter of coordinates and densities per point).
-const TILE_BUILD_PAIRS_PER_POINT: f64 = 8.0;
-
-/// Near-field statistics of a built LET — the same LET-statistics
-/// approach as [`m2l_level_stats`], applied to the U-list.
-#[derive(Copy, Clone, Debug)]
-pub struct UlistStats {
-    /// Target boxes (owned point-carrying leaves).
-    pub boxes: u64,
-    /// U-list edges.
-    pub edges: u64,
-    /// Target points.
-    pub points: u64,
-    /// Real source/target pairs (the scalar path's work).
-    pub real_pairs: u64,
-    /// Lane-padded pairs (the tiled path's work).
-    pub padded_pairs: u64,
-}
-
-/// The modeled verdict of [`ulist_crossover`].
-#[derive(Copy, Clone, Debug)]
-pub struct UlistChoice {
-    /// Modeled flops of the scalar U-list path.
-    pub scalar_flops: u64,
-    /// Modeled *effective* flops of the tiled path: padded pairs divided
-    /// by the per-pair speedup, plus the `O(N)` tile build.
-    pub tiled_flops: u64,
-    /// True when the tiled engine is modeled cheaper.
-    pub use_tiled: bool,
-}
-
-/// Gather U-list statistics by building the tree and the tiled layout
-/// (one rank, no evaluation).
-pub fn ulist_stats(fmm: &Fmm, points: &[PointRec]) -> UlistStats {
-    let pts = points.to_vec();
-    let sd = fmm.kernel().source_dim();
-    run(1, |c| {
-        let (sorted, region) = crate::driver::sort_points(fmm, c, pts.clone());
-        let tree = octree_from_sorted(c, sorted, region, fmm.config().q);
-        let l = build_let(c, &tree);
-        let lists = build_lists(&l);
-        let data = EvalData::new(&l, sd);
-        let nf = NearField::build(&l, &lists, &data.leaf_pos, &data.leaf_den, sd);
-        UlistStats {
-            boxes: nf.num_tgt_boxes() as u64,
-            edges: nf.ulist.len() as u64,
-            points: nf.tgt_cnt.iter().map(|&n| n as u64).sum(),
-            real_pairs: nf.real_pairs,
-            padded_pairs: nf.padded_pairs,
-        }
-    })
-    .pop()
-    .expect("one rank")
-}
-
-/// Model the scalar-vs-tiled near-field crossover: padding inflates the
-/// tiled work by `padded/real ≈ pad(q)/q`, which must stay under the
-/// per-pair speedup for the tiles to pay — so sparsely populated leaves
-/// (small points-per-leaf) favor the scalar path, exactly like the
-/// dense-vs-batched M2L decision on sparse levels.
-pub fn ulist_crossover(fmm: &Fmm, s: &UlistStats) -> UlistChoice {
-    let fp = fmm.kernel().flops_per_pair();
-    let scalar_flops = s.real_pairs * fp;
-    let tiled_pairs =
-        s.padded_pairs as f64 / TILE_PAIR_SPEEDUP + s.points as f64 * TILE_BUILD_PAIRS_PER_POINT;
-    let tiled_flops = (tiled_pairs * fp as f64) as u64;
-    UlistChoice {
-        scalar_flops,
-        tiled_flops,
-        use_tiled: tiled_flops < scalar_flops,
-    }
-}
-
-/// Smallest points-per-leaf at which the tiled engine is modeled faster,
-/// ignoring the (amortized) build: the padding inflation `pad(q)/q` must
-/// drop strictly below [`TILE_PAIR_SPEEDUP`]. With `LANE = 8` and a 2×
-/// speedup this is 5 — any practically tuned `q` (tens of points) is far
-/// above it, which is why `tiled` is the default.
-pub fn ulist_breakeven_points_per_leaf() -> usize {
-    (1..)
-        .find(|&q: &usize| (q.div_ceil(LANE) * LANE) as f64 / (q as f64) < TILE_PAIR_SPEEDUP)
-        .expect("padding ratio reaches 1")
-}
-
 /// Modeled per-element speedup of the register-tiled GEMM microkernel
-/// over the per-box matvec on a full panel — a conservative floor (the
-/// `ablation_translate` harness measures higher on wide-SIMD hosts, where
-/// the matvec baseline stays scalar).
+/// over the per-box matvec on a full panel — a conservative floor.
 pub const TRANSLATE_GEMM_SPEEDUP: f64 = 2.0;
-
-/// Per-level translation statistics of a built LET: how many boxes share
-/// each up/down operator — the group sizes the GEMM engine would batch.
-#[derive(Clone, Debug)]
-pub struct TranslateLevelStats {
-    pub level: u32,
-    /// Owned point-carrying leaves (the uc2e solve group).
-    pub s2u_boxes: u64,
-    /// Local octants (the dc2e solve group).
-    pub dc2e_boxes: u64,
-    /// U2U boxes per child-index class.
-    pub u2u_boxes: [u64; 8],
-    /// D2D boxes per child-index class.
-    pub d2d_boxes: [u64; 8],
-}
-
-/// The modeled verdict of [`translate_crossover`] for one level.
-#[derive(Copy, Clone, Debug)]
-pub struct TranslateChoice {
-    pub level: u32,
-    /// Modeled bytes moved by the grouped (GEMM) path at this level.
-    pub gemm_bytes: u64,
-    /// Modeled bytes moved by the per-box matvec path at this level.
-    pub matvec_bytes: u64,
-    /// True when the grouped path is modeled cheaper at this level.
-    pub use_gemm: bool,
-}
-
-/// Gather per-level translation group sizes by building the tree and the
-/// plan-time grouping (one rank, no evaluation) — the same LET-statistics
-/// approach as [`m2l_level_stats`] and [`ulist_stats`].
-pub fn translate_stats(fmm: &Fmm, points: &[PointRec]) -> Vec<TranslateLevelStats> {
-    let pts = points.to_vec();
-    let sd = fmm.kernel().source_dim();
-    run(1, |c| {
-        let (sorted, region) = crate::driver::sort_points(fmm, c, pts.clone());
-        let tree = octree_from_sorted(c, sorted, region, fmm.config().q);
-        let l = build_let(c, &tree);
-        let data = EvalData::new(&l, sd);
-        let tp = &data.translate;
-        (0..data.by_level.len())
-            .map(|lev| {
-                let per_class = |cls: &[crate::translate::TranslateGroup; 8]| {
-                    std::array::from_fn(|ci| cls[ci].len() as u64)
-                };
-                TranslateLevelStats {
-                    level: lev as u32,
-                    s2u_boxes: tp.s2u[lev].len() as u64,
-                    dc2e_boxes: tp.dc2e[lev].len() as u64,
-                    u2u_boxes: per_class(&tp.u2u[lev]),
-                    d2d_boxes: per_class(&tp.d2d[lev]),
-                }
-            })
-            .collect()
-    })
-    .pop()
-    .expect("one rank")
-}
-
-/// Model the per-level gemm-vs-matvec crossover from the data-movement
-/// costs (the flops are identical by construction, so bytes decide):
-/// grouping pays once a level's classes carry enough boxes that the
-/// operator amortization outweighs the pack/scatter panel traffic — on
-/// any realistically refined tree that is every level below the root,
-/// which is why `--translate=gemm` is the default. Sub-break-even groups
-/// ([`translate_breakeven_boxes`]) fall back to the per-box matvec inside
-/// the engine without changing a single bit of output.
-pub fn translate_crossover(fmm: &Fmm, stats: &[TranslateLevelStats]) -> Vec<TranslateChoice> {
-    let (ulen, clen) = (fmm.ops().density_len(), fmm.ops().check_len());
-    stats
-        .iter()
-        .map(|s| {
-            let mut gemm_bytes = 0u64;
-            let mut matvec_bytes = 0u64;
-            let mut add = |rows: usize, cols: usize, m: u64| {
-                if m > 0 {
-                    gemm_bytes += flop_model::translate_group_bytes(rows, cols, m as usize);
-                    matvec_bytes += flop_model::translate_matvec_bytes(rows, cols, m as usize);
-                }
-            };
-            add(ulen, clen, s.s2u_boxes);
-            add(ulen, clen, s.dc2e_boxes);
-            for &m in s.u2u_boxes.iter().chain(&s.d2d_boxes) {
-                add(ulen, ulen, m);
-            }
-            TranslateChoice {
-                level: s.level,
-                gemm_bytes,
-                matvec_bytes,
-                use_gemm: gemm_bytes < matvec_bytes,
-            }
-        })
-        .collect()
-}
 
 /// Smallest boxes-per-class group at which the GEMM is modeled faster:
 /// a group of `m` right-hand sides is zero-padded to a multiple of
 /// [`pfmm_linalg::GEMM_NR`] columns, so the microkernel speedup must
-/// outweigh the padding inflation `pad(m)/m` — the same break-even shape
-/// as [`ulist_breakeven_points_per_leaf`]. With `GEMM_NR = 8` and a 2×
-/// speedup this is 4; the engine's per-group dispatch uses this floor,
+/// outweigh the padding inflation `pad(m)/m`. With `GEMM_NR = 4` and a 2×
+/// speedup this is 2; the engine's per-group dispatch uses this floor,
 /// and because the sub-threshold fallback is bitwise identical to the
 /// GEMM, the choice is numerics-free.
 pub fn translate_breakeven_boxes() -> usize {
@@ -565,98 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn ulist_stats_count_a_uniform_cube() {
-        let mut pts = uniform_cube(4000, 47, 0);
-        randomize_densities(&mut pts, 1, 5);
-        let fmm = Fmm::new(
-            Arc::new(Laplace),
-            FmmConfig {
-                order: 4,
-                q: 40,
-                ..Default::default()
-            },
-        );
-        let s = ulist_stats(&fmm, &pts);
-        assert_eq!(s.points, 4000);
-        assert!(s.boxes > 0 && s.edges >= s.boxes, "{s:?}");
-        assert!(s.real_pairs > 0 && s.padded_pairs >= s.real_pairs, "{s:?}");
-        // Well-populated leaves (q = 40 ≫ breakeven): tiles win.
-        let c = ulist_crossover(&fmm, &s);
-        assert!(c.use_tiled, "{c:?} from {s:?}");
-        assert!(c.tiled_flops < c.scalar_flops);
-    }
-
-    #[test]
-    fn ulist_crossover_prefers_scalar_on_singleton_leaves() {
-        // One point per leaf: every real pair pads to a full lane
-        // (8× inflation), and the build cost has nothing to amortize
-        // against — the scalar path is modeled cheaper.
-        let fmm = Fmm::new(
-            Arc::new(Laplace),
-            FmmConfig {
-                order: 4,
-                ..Default::default()
-            },
-        );
-        let s = UlistStats {
-            boxes: 1000,
-            edges: 1000,
-            points: 1000,
-            real_pairs: 1000,
-            padded_pairs: 8000,
-        };
-        let c = ulist_crossover(&fmm, &s);
-        assert!(!c.use_tiled, "{c:?}");
-    }
-
-    #[test]
-    fn ulist_breakeven_is_five_points_per_leaf() {
-        // pad(q)/q: 8/1=8, 8/4=2 (tie, scalar), 8/5=1.6 < 2 → 5.
-        assert_eq!(ulist_breakeven_points_per_leaf(), 5);
-    }
-
-    #[test]
     fn translate_breakeven_is_two_boxes() {
         // pad(m)/m with GEMM_NR = 4: 4/1=4, 4/2=2 (tie → GEMM, the
         // fallback is bitwise identical so the tie costs nothing).
         assert_eq!(translate_breakeven_boxes(), 2);
-    }
-
-    #[test]
-    fn translate_stats_count_a_uniform_cube() {
-        let mut pts = uniform_cube(4000, 47, 0);
-        randomize_densities(&mut pts, 1, 5);
-        let fmm = Fmm::new(
-            Arc::new(Laplace),
-            FmmConfig {
-                order: 4,
-                q: 40,
-                ..Default::default()
-            },
-        );
-        let stats = translate_stats(&fmm, &pts);
-        assert!(!stats.is_empty());
-        // Every point-carrying leaf solves once; every local octant gets
-        // a dc2e solve; U2U feeds each non-root occupied box upward.
-        let s2u_total: u64 = stats.iter().map(|s| s.s2u_boxes).sum();
-        let dc2e_total: u64 = stats.iter().map(|s| s.dc2e_boxes).sum();
-        let u2u_total: u64 = stats.iter().map(|s| s.u2u_boxes.iter().sum::<u64>()).sum();
-        let d2d_total: u64 = stats.iter().map(|s| s.d2d_boxes.iter().sum::<u64>()).sum();
-        assert!(s2u_total > 0 && dc2e_total >= s2u_total, "{stats:?}");
-        assert!(u2u_total > 0 && d2d_total > 0, "{stats:?}");
-        // Single rank: every non-root octant's parent is present, so the
-        // D2D classes cover every local octant below the root.
-        assert_eq!(d2d_total, dc2e_total - 1);
-        // The root level has nothing to batch; populated levels do.
-        let choices = translate_crossover(&fmm, &stats);
-        assert_eq!(choices.len(), stats.len());
-        assert!(!choices[0].use_gemm, "{:?}", choices[0]);
-        for (s, c) in stats.iter().zip(&choices) {
-            if s.dc2e_boxes >= 8 {
-                assert!(c.use_gemm, "{c:?} from {s:?}");
-                assert!(c.gemm_bytes < c.matvec_bytes);
-            }
-        }
-        assert!(choices.iter().any(|c| c.use_gemm));
     }
 }

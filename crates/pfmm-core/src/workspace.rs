@@ -9,11 +9,10 @@
 //! external workspace checks the tag and rebuilds the workspace in place
 //! on a mismatch, so a pooled workspace can never carry stale buffers
 //! into a different plan. The zero-allocation guarantee covers the
-//! default engine selection (`--translate=gemm --m2l=fft-batched
-//! --ulist=tiled`) at `threads = 1` on a single rank; the ablation paths
-//! (scalar/dense/matvec modes, `threads > 1` fan-out, multi-rank ghost
-//! exchange) stay correct but may allocate, as documented in DESIGN.md
-//! §15.
+//! default configuration (`--m2l=fft-batched`) at `threads = 1` on a
+//! single rank; the dense M2L oracle, `threads > 1` fan-out and the
+//! multi-rank ghost exchange stay correct but may allocate, as
+//! documented in DESIGN.md §15.
 //!
 //! Contents:
 //! * the phase accumulators (`u`, `has_up`, `ucheck`, `dcheck`, `d`,
@@ -31,12 +30,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use pfmm_fft::Complex;
 use pfmm_kernels::Point3;
 use pfmm_metrics::Counter;
 use pfmm_tree::{Let, Lists};
 
-use crate::driver::{Fmm, M2lMode, TranslateMode};
+use crate::driver::{Fmm, M2lMode};
 use crate::exec::{offset_of, TileEval};
 use crate::m2l_batched::{offset_slot, BatchScratch, SourceSpectra, SpectraTable, SpectraTmp};
 use crate::nearfield::NearField;
@@ -51,8 +49,6 @@ pub(crate) struct WorkerScratch {
     pub(crate) te: TileEval,
     /// Equivalent/check surface points (one surface live at a time).
     pub(crate) surf: Vec<Point3>,
-    /// Per-leaf check potentials for the scalar S2U path.
-    pub(crate) check: Vec<f64>,
     /// GEMM pack/product panels for the grouped translations.
     pub(crate) tsc: TranslateScratch,
     /// Batched-M2L target accumulators (lazily sized to the batch).
@@ -70,7 +66,6 @@ impl WorkerScratch {
         use std::mem::size_of;
         self.te.memory_bytes()
             + self.surf.capacity() * size_of::<Point3>()
-            + self.check.capacity() * size_of::<f64>()
             + self.tsc.memory_bytes()
             + self.batch.as_ref().map_or(0, |b| b.memory_bytes())
             + self.tmp.memory_bytes()
@@ -128,7 +123,7 @@ pub struct EvalWorkspace {
     pub(crate) u: Vec<f64>,
     /// Upward occupancy per octant.
     pub(crate) has_up: Vec<bool>,
-    /// S2U check potentials (gemm translate mode only; empty otherwise).
+    /// S2U check potentials, `clen` per octant.
     pub(crate) ucheck: Vec<f64>,
     /// Downward check potentials, `clen` per octant.
     pub(crate) dcheck: Vec<f64>,
@@ -153,9 +148,6 @@ pub struct EvalWorkspace {
     pub(crate) sources: Vec<usize>,
     /// Source-needed flags of the current apply.
     pub(crate) needed: Vec<bool>,
-    /// Per-source spectra for the non-batched FFT mode; epoch-cleared
-    /// (`fill(None)`) each apply instead of reallocated.
-    pub(crate) uhat: Vec<Option<Arc<Vec<Complex>>>>,
     /// Per-worker scratch slots.
     pub(crate) pool: ScratchPool,
     /// `pfmm_plan_applies_total` handle, resolved once so the hot path
@@ -204,14 +196,7 @@ impl EvalWorkspace {
             plan_uid,
             u: vec![0.0; noct * ulen],
             has_up: vec![false; noct],
-            ucheck: vec![
-                0.0;
-                if cfg.translate == TranslateMode::Gemm {
-                    noct * clen
-                } else {
-                    0
-                }
-            ],
+            ucheck: vec![0.0; noct * clen],
             dcheck: vec![0.0; noct * clen],
             d: vec![0.0; noct * ulen],
             f: vec![0.0; l.pts.len() * td],
@@ -222,7 +207,6 @@ impl EvalWorkspace {
             src: SourceSpectra::empty(),
             sources: Vec::new(),
             needed: Vec::new(),
-            uhat: Vec::new(),
             pool: ScratchPool::new(cfg.threads.max(1)),
             applies: crate::obs::plan_apply_counter(fmm.kernel().name()),
         }
@@ -256,7 +240,6 @@ impl EvalWorkspace {
             + self.src.memory_bytes()
             + self.sources.capacity() * size_of::<usize>()
             + self.needed.capacity() * size_of::<bool>()
-            + self.uhat.capacity() * size_of::<Option<Arc<Vec<Complex>>>>()
             + self.pool.memory_bytes()
             + size_of::<EvalWorkspace>()
     }

@@ -74,8 +74,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn config(schedule: Schedule) -> FmmConfig {
-    // The defaults ARE the gated configuration (gemm + fft-batched +
-    // tiled, threads 1); only the schedule varies.
+    // The defaults ARE the gated configuration (fft-batched M2L,
+    // threads 1); only the schedule varies.
     FmmConfig {
         schedule,
         ..Default::default()

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pfmm_core::driver::{gather_potentials, Fmm, FmmConfig, M2lMode};
+use pfmm_core::driver::{gather_potentials, Fmm, FmmConfig};
 use pfmm_core::m2l_fft::FftM2l;
 use pfmm_core::ops::Ops;
 use pfmm_core::surface::{surface_points, RAD_INNER, RAD_OUTER};
@@ -244,14 +244,13 @@ pub fn run_gpu_fmm_distributed(
 }
 
 /// Relative ℓ² error of gathered (gid, potential) pairs against the f64
-/// CPU FMM on the full cloud.
+/// CPU FMM (default configuration) on the full cloud.
 fn accuracy_vs_f64(points: &[PointRec], q: usize, order: usize, pairs: &[Vec<(u64, f64)>]) -> f64 {
     let fmm = Fmm::new(
         Arc::new(Laplace),
         FmmConfig {
             order,
             q,
-            m2l: M2lMode::Fft,
             ..Default::default()
         },
     );

@@ -94,6 +94,9 @@ fn stokes_vector_kernel_accuracy() {
     assert!(err < 1e-4, "stokes error {err}");
 }
 
+/// The production V-list path (fft-batched) against the dense M2L
+/// oracle on an adaptive 1:1:4 ellipsoid tree, where the W and X lists
+/// are active — the uniform-cube check in pfmm-core covers V alone.
 #[test]
 fn dense_and_fft_m2l_agree_on_mixed_tree() {
     let mut pts = ellipsoid_1_1_4(1500, 109, 0);
@@ -113,14 +116,14 @@ fn dense_and_fft_m2l_agree_on_mixed_tree() {
         FmmConfig {
             order: 4,
             q: 25,
-            m2l: M2lMode::Fft,
+            m2l: M2lMode::FftBatched,
             ..Default::default()
         },
         &pts,
     );
     assert!(
         (dense - fft).abs() < 1e-6,
-        "same operator, same error: {dense} vs {fft}"
+        "same operator, same error: dense {dense} vs fft-batched {fft}"
     );
 }
 

@@ -259,31 +259,3 @@ fn bitonic_sort_backend_matches_sample() {
     let (b3, _, _) = run_p(&mk(SortKind::Bitonic), &pts, 3, 1);
     assert_matches_reference(&s3, &b3, 1e-12, "bitonic fallback");
 }
-
-#[test]
-fn parallel_traversals_match_sequential() {
-    // The Euler-tour future work: level-synchronous parallel U2U/D2D
-    // must reproduce the sequential traversals to rounding (same
-    // operators, different evaluation order of independent updates).
-    let mut pts = pfmm::fmm::distrib::ellipsoid_1_1_4(1800, 257, 0);
-    pfmm::fmm::distrib::randomize_densities(&mut pts, 1, 19);
-    let mk = |traversal_threads| {
-        Fmm::new(
-            Arc::new(Laplace),
-            FmmConfig {
-                order: 4,
-                q: 20,
-                traversal_threads,
-                ..Default::default()
-            },
-        )
-    };
-    let seq: std::collections::HashMap<u64, Vec<f64>> =
-        run_p(&mk(1), &pts, 1, 1).0.into_iter().collect();
-    let (par, _, _) = run_p(&mk(4), &pts, 1, 1);
-    assert_matches_reference(&seq, &par, 1e-11, "traversal_threads=4");
-    let (par2, _, _) = run_p(&mk(2), &pts, 2, 1);
-    let seq2: std::collections::HashMap<u64, Vec<f64>> =
-        run_p(&mk(1), &pts, 2, 1).0.into_iter().collect();
-    assert_matches_reference(&seq2, &par2, 1e-11, "traversal_threads=2 p=2");
-}
