@@ -9,6 +9,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pfmm_core::m2l_batched::{offset_slot, FftBatchedM2l};
 use pfmm_core::m2l_fft::FftM2l;
 use pfmm_core::ops::Ops;
+use pfmm_core::small_dft::{DftScratch, PrunedDft3};
+use pfmm_core::surface::surface_grid_indices;
+use pfmm_fft::{Complex, RFft3, RFftScratch};
 use pfmm_kernels::Laplace;
 use std::hint::black_box;
 
@@ -81,6 +84,65 @@ fn bench_m2l(c: &mut Criterion) {
                 })
             },
         );
+    }
+
+    // Per-component transforms of the batched path (the pruned small
+    // DFTs) against the general real FFT on the same torus, 64 transforms
+    // per sample: a source forward on its [0,p)³ corner, and a target
+    // inverse evaluated at the surface points.
+    const REPS: usize = 64;
+    for order in [4usize, 6, 8] {
+        let n = 2 * order;
+        let dft = PrunedDft3::new(order);
+        let rfft = RFft3::new(n);
+        let surf = surface_grid_indices(order);
+        let corner: Vec<f64> = (0..order * order * order)
+            .map(|i| (i as f64 * 0.13).sin())
+            .collect();
+        let mut full = vec![0.0; n * n * n];
+        for (i, &v) in corner.iter().enumerate() {
+            let (x, y, z) = (i / (order * order), (i / order) % order, i % order);
+            full[(x * n + y) * n + z] = v;
+        }
+        let gh = dft.spectrum_len();
+        let (mut re, mut im) = (vec![0.0; gh], vec![0.0; gh]);
+        let mut dsc = DftScratch::default();
+        let mut spec = vec![Complex::ZERO; gh];
+        let mut fsc = RFftScratch::default();
+        g.bench_function(format!("pruned_forward_x{REPS}_order{order}"), |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    dft.forward(black_box(&corner), order, &mut re, &mut im, &mut dsc);
+                }
+            })
+        });
+        g.bench_function(format!("rfft3_forward_x{REPS}_order{order}"), |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    rfft.forward_with(black_box(&full), &mut spec, &mut fsc);
+                }
+            })
+        });
+        let mut out = vec![0.0; surf.len()];
+        g.bench_function(format!("pruned_inverse_x{REPS}_order{order}"), |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    dft.inverse_at(black_box(&re), &im, &surf, &mut out, 1, &mut dsc);
+                }
+            })
+        });
+        // The general inverse consumes its spectrum, so each rep restores
+        // it first (a copy, small next to the transform).
+        let spec0 = spec.clone();
+        let mut grid = vec![0.0; n * n * n];
+        g.bench_function(format!("rfft3_inverse_x{REPS}_order{order}"), |b| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    spec.copy_from_slice(&spec0);
+                    rfft.inverse_with(black_box(&mut spec), &mut grid, &mut fsc);
+                }
+            })
+        });
     }
 
     g.finish();

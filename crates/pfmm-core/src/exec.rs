@@ -50,7 +50,9 @@ use crate::translate::TranslatePlan;
 /// kernel-spectrum table lives in the workspace since it is
 /// density-independent).
 type BatchedSpectra = Arc<SourceSpectra>;
-use crate::m2l_batched::{offset_slot, FftBatchedM2l, SourceSpectra, SpectraTable, SpectraTmp};
+use crate::m2l_batched::{
+    offset_slot, FftBatchedM2l, LendTmp, SourceSpectra, SpectraTable, SpectraTmp,
+};
 use crate::ops::Ops;
 use crate::par::{par_map_n, par_windows, par_windows_weighted, weighted_cuts, SetupPar};
 use crate::profile::{flop_model, Phase, Profile};
@@ -575,9 +577,10 @@ impl Ctx<'_> {
     }
 
     /// V-list batched pass 1: half-spectrum transform every V-list
-    /// source once into the workspace-owned spectra. The kernel-spectrum
-    /// table is *not* built here — it lives in the workspace
-    /// (density-independent; built once at workspace creation).
+    /// source once into the workspace-owned spectra, each worker on
+    /// scratch lent by `with_tmp`. The kernel-spectrum table is *not*
+    /// built here — it lives in the workspace (density-independent;
+    /// built once at workspace creation).
     #[allow(clippy::too_many_arguments)]
     fn vli_batched_spectra_into(
         &self,
@@ -586,21 +589,20 @@ impl Ctx<'_> {
         threads: usize,
         needed: &mut Vec<bool>,
         sources: &mut Vec<usize>,
-        tmp: &mut SpectraTmp,
+        with_tmp: &LendTmp,
         out: &mut SourceSpectra,
     ) -> u64 {
         let (fftb, ulen) = (self.fftb, self.ulen);
         let noct = self.l.len();
         self.vli_mark_sources(has_up, needed, sources);
         let fl = sources.len() as u64 * fftb.flops_forward();
-        fftb.source_spectra_into(sources, noct, u, ulen, threads, tmp, out);
+        fftb.source_spectra_into(sources, noct, u, ulen, threads, with_tmp, out);
         fl
     }
 
     /// Allocating wrapper for the graph executor's pass-1 task.
     fn vli_batched_spectra(&self, has_up: &[bool], u: &[f64]) -> (SourceSpectra, u64) {
         let (mut needed, mut sources) = (Vec::new(), Vec::new());
-        let mut tmp = SpectraTmp::default();
         let mut out = SourceSpectra::empty();
         let fl = self.vli_batched_spectra_into(
             has_up,
@@ -608,7 +610,7 @@ impl Ctx<'_> {
             1,
             &mut needed,
             &mut sources,
-            &mut tmp,
+            &|f| f(&mut SpectraTmp::default()),
             &mut out,
         );
         (out, fl)
@@ -1078,17 +1080,15 @@ fn run_phases_barrier(
                 let table = btable
                     .as_ref()
                     .expect("spectrum table built at workspace creation");
-                let fl = pool.with(|sc| {
-                    cx.vli_batched_spectra_into(
-                        has_up,
-                        u,
-                        threads,
-                        needed,
-                        sources,
-                        &mut sc.tmp,
-                        src,
-                    )
-                });
+                let fl = cx.vli_batched_spectra_into(
+                    has_up,
+                    u,
+                    threads,
+                    needed,
+                    sources,
+                    &|f| pool.with(|sc| f(&mut sc.tmp)),
+                    src,
+                );
                 prof.add_flops(Phase::VList, fl);
                 let src: &SourceSpectra = src;
                 let flops = par_windows_weighted(

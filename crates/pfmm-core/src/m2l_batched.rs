@@ -13,9 +13,14 @@
 //!   dense array index (7³ = 343 slots per level). No lock anywhere in
 //!   the per-edge loop.
 //! * **Half spectra**: equivalent densities and kernel samples are real,
-//!   so forward transforms use [`RFft3`] and keep only the Hermitian
-//!   non-redundant `n²·(n/2+1)` frequencies — half the Hadamard flops and
-//!   spectrum memory of the complex path.
+//!   so only the Hermitian non-redundant `n²·(n/2+1)` frequencies are
+//!   kept — half the Hadamard flops and spectrum memory of the complex
+//!   path.
+//! * **Pruned small DFTs**: the transforms are
+//!   [`crate::small_dft::PrunedDft3`] axis passes against one `n×n`
+//!   twiddle table. A source transform reads only the `[0,p)³` corner
+//!   that can be nonzero; a target inverse computes only `x, y < p` and
+//!   evaluates the real output at the surface points alone.
 //! * **Split-complex SoA**: spectra are stored as separate re/im planes
 //!   with frequency fastest, so the inner `td×sd` multiply-accumulate is
 //!   a shuffle-free fused-multiply-add chain over contiguous `f64`s that
@@ -33,12 +38,12 @@
 
 use std::sync::Arc;
 
-use pfmm_fft::{Complex, RFft3, RFftScratch};
 use pfmm_kernels::Kernel;
 
 use crate::ops::level_radius;
 use crate::par::par_map;
 use crate::profile::flop_model;
+use crate::small_dft::{DftScratch, PrunedDft3};
 use crate::surface::{surface_grid_indices, RAD_INNER};
 
 /// Number of dense transfer-vector slots per level: components in
@@ -178,18 +183,14 @@ pub struct BatchScratch {
     stride: usize,
     acc_re: Vec<f64>,
     acc_im: Vec<f64>,
-    spec: Vec<Complex>,
-    grid: Vec<f64>,
-    fft: RFftScratch,
+    dft: DftScratch,
 }
 
 impl BatchScratch {
     /// Heap bytes held, by allocated capacity.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.acc_re.capacity() + self.acc_im.capacity() + self.grid.capacity()) * size_of::<f64>()
-            + self.spec.capacity() * size_of::<Complex>()
-            + self.fft.memory_bytes()
+        (self.acc_re.capacity() + self.acc_im.capacity()) * std::mem::size_of::<f64>()
+            + self.dft.memory_bytes()
     }
 
     /// Zero the first `n` target accumulators for a new batch.
@@ -201,23 +202,25 @@ impl BatchScratch {
 }
 
 /// Per-worker scratch for the forward source transforms (pass 1 of the
-/// batched V-list): the torus embedding grid, its half spectrum, and the
-/// FFT work vectors. A default (empty) scratch warms on first use.
+/// batched V-list): the `p³` corner grid and the transform staging. A
+/// default (empty) scratch warms on first use.
 #[derive(Default)]
 pub struct SpectraTmp {
     grid: Vec<f64>,
-    spec: Vec<Complex>,
-    fft: RFftScratch,
+    dft: DftScratch,
 }
 
 impl SpectraTmp {
     /// Heap bytes held, by allocated capacity.
     pub fn memory_bytes(&self) -> usize {
-        self.grid.capacity() * std::mem::size_of::<f64>()
-            + self.spec.capacity() * std::mem::size_of::<Complex>()
-            + self.fft.memory_bytes()
+        self.grid.capacity() * std::mem::size_of::<f64>() + self.dft.memory_bytes()
     }
 }
+
+/// Lends the calling worker a [`SpectraTmp`] for the duration of the
+/// callback: the workspace lends pooled per-worker scratch, one-off
+/// callers a fresh one.
+pub type LendTmp<'a> = dyn Fn(&mut dyn FnMut(&mut SpectraTmp)) + Sync + 'a;
 
 /// The batched spectral M2L engine for one kernel and surface order
 /// (`--m2l=fft-batched`).
@@ -226,7 +229,7 @@ pub struct FftBatchedM2l {
     order: usize,
     /// Torus side `n = 2p`.
     n: usize,
-    rfft: RFft3,
+    dft: PrunedDft3,
     surf_idx: Vec<[usize; 3]>,
 }
 
@@ -238,7 +241,7 @@ impl FftBatchedM2l {
             kernel,
             order,
             n,
-            rfft: RFft3::new(n),
+            dft: PrunedDft3::new(order),
             surf_idx: surface_grid_indices(order),
         }
     }
@@ -250,7 +253,7 @@ impl FftBatchedM2l {
 
     /// Retained frequencies per half-spectrum plane (`n²·(n/2+1)`).
     pub fn spectrum_len(&self) -> usize {
-        self.rfft.spectrum_len()
+        self.dft.spectrum_len()
     }
 
     /// Number of source-dimension components.
@@ -365,14 +368,15 @@ impl FftBatchedM2l {
         }
         let mut re = vec![0.0f64; td * sd * gh];
         let mut im = vec![0.0f64; td * sd * gh];
-        let mut spec = vec![Complex::ZERO; gh];
+        let mut sc = DftScratch::default();
         for pair in 0..td * sd {
-            self.rfft
-                .forward(&grids[pair * g..(pair + 1) * g], &mut spec);
-            for (f, v) in spec.iter().enumerate() {
-                re[pair * gh + f] = v.re;
-                im[pair * gh + f] = v.im;
-            }
+            self.dft.forward(
+                &grids[pair * g..(pair + 1) * g],
+                n,
+                &mut re[pair * gh..(pair + 1) * gh],
+                &mut im[pair * gh..(pair + 1) * gh],
+                &mut sc,
+            );
         }
         KernelSpectra { re, im }
     }
@@ -395,18 +399,20 @@ impl FftBatchedM2l {
             u,
             ulen,
             threads,
-            &mut SpectraTmp::default(),
+            &|f| f(&mut SpectraTmp::default()),
             &mut out,
         );
         out
     }
 
-    /// [`Self::source_spectra`] writing into a caller-owned table:
-    /// alloc-free once `out` and `tmp` have warmed to this evaluation's
-    /// source count (the workspace path). At `threads > 1` the per-source
-    /// transforms still run through the allocating parallel map —
-    /// transforms are independent, so results are bitwise identical
-    /// either way.
+    /// [`Self::source_spectra`] writing into a caller-owned table.
+    /// `with_tmp` lends each worker a [`SpectraTmp`] for the duration of
+    /// its run of sources (the workspace lends pooled per-worker scratch).
+    /// At `threads > 1` the sources are cut into contiguous runs, each
+    /// transformed straight into its disjoint window of `out`, so the
+    /// pass is alloc-free apart from the worker spawns once `out` and the
+    /// lent scratch have warmed. Transforms are independent, so results
+    /// are bitwise identical at any thread count.
     #[allow(clippy::too_many_arguments)]
     pub fn source_spectra_into(
         &self,
@@ -415,54 +421,51 @@ impl FftBatchedM2l {
         u: &[f64],
         ulen: usize,
         threads: usize,
-        tmp: &mut SpectraTmp,
+        with_tmp: &LendTmp,
         out: &mut SourceSpectra,
     ) {
-        let sd = self.sd();
-        let gh = self.spectrum_len();
-        let stride = sd * gh;
+        let stride = self.sd() * self.spectrum_len();
         out.stride = stride;
         out.idx.clear();
         out.idx.resize(noct, u32::MAX);
+        for (s, &ai) in sources.iter().enumerate() {
+            out.idx[ai] = s as u32;
+        }
         out.re.clear();
         out.re.resize(sources.len() * stride, 0.0);
         out.im.clear();
         out.im.resize(sources.len() * stride, 0.0);
+        let run = |srcs: &[usize], re: &mut [f64], im: &mut [f64]| {
+            with_tmp(&mut |tmp| {
+                for ((&ai, re), im) in srcs
+                    .iter()
+                    .zip(re.chunks_exact_mut(stride))
+                    .zip(im.chunks_exact_mut(stride))
+                {
+                    self.transform_source_into(&u[ai * ulen..(ai + 1) * ulen], tmp, re, im);
+                }
+            })
+        };
         if threads <= 1 || sources.len() < 2 {
-            for (s, &ai) in sources.iter().enumerate() {
-                out.idx[ai] = s as u32;
-                let lo = s * stride;
-                self.transform_source_into(
-                    &u[ai * ulen..(ai + 1) * ulen],
-                    tmp,
-                    &mut out.re[lo..lo + stride],
-                    &mut out.im[lo..lo + stride],
-                );
-            }
-        } else {
-            let planes: Vec<(Vec<f64>, Vec<f64>)> = par_map(threads, sources, |ai| {
-                self.transform_source(&u[ai * ulen..(ai + 1) * ulen])
-            });
-            for (s, (&ai, (pr, pi))) in sources.iter().zip(planes).enumerate() {
-                out.idx[ai] = s as u32;
-                out.re[s * stride..(s + 1) * stride].copy_from_slice(&pr);
-                out.im[s * stride..(s + 1) * stride].copy_from_slice(&pi);
-            }
+            run(sources, &mut out.re, &mut out.im);
+            return;
         }
+        let per = sources.len().div_ceil(threads);
+        let run = &run;
+        crossbeam::thread::scope(|scope| {
+            for ((srcs, re), im) in sources
+                .chunks(per)
+                .zip(out.re.chunks_mut(per * stride))
+                .zip(out.im.chunks_mut(per * stride))
+            {
+                scope.spawn(move |_| run(srcs, re, im));
+            }
+        })
+        .expect("source spectra scope");
     }
 
-    /// Embed one octant's `n_surf·sd` packed density on the torus and
-    /// half-spectrum transform each component.
-    fn transform_source(&self, u: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let sd = self.sd();
-        let gh = self.spectrum_len();
-        let mut re = vec![0.0f64; sd * gh];
-        let mut im = vec![0.0f64; sd * gh];
-        self.transform_source_into(u, &mut SpectraTmp::default(), &mut re, &mut im);
-        (re, im)
-    }
-
-    /// [`Self::transform_source`] through caller-owned scratch, writing
+    /// Embed one octant's `n_surf·sd` packed density in the `[0,p)³`
+    /// torus corner and half-spectrum transform each component, writing
     /// the split-complex planes in place.
     fn transform_source_into(
         &self,
@@ -471,25 +474,21 @@ impl FftBatchedM2l {
         re: &mut [f64],
         im: &mut [f64],
     ) {
-        let sd = self.sd();
-        let g = self.grid_len();
-        let gh = self.spectrum_len();
+        let (p, sd, gh) = (self.order, self.sd(), self.spectrum_len());
         debug_assert_eq!(u.len(), self.surf_idx.len() * sd);
         tmp.grid.clear();
-        tmp.grid.resize(g, 0.0);
-        tmp.spec.clear();
-        tmp.spec.resize(gh, Complex::ZERO);
+        tmp.grid.resize(p * p * p, 0.0);
         for c in 0..sd {
-            tmp.grid.fill(0.0);
             for (s, m) in self.surf_idx.iter().enumerate() {
-                tmp.grid[self.grid_index(m[0], m[1], m[2])] = u[s * sd + c];
+                tmp.grid[(m[0] * p + m[1]) * p + m[2]] = u[s * sd + c];
             }
-            self.rfft
-                .forward_with(&tmp.grid, &mut tmp.spec, &mut tmp.fft);
-            for (f, v) in tmp.spec.iter().enumerate() {
-                re[c * gh + f] = v.re;
-                im[c * gh + f] = v.im;
-            }
+            self.dft.forward(
+                &tmp.grid,
+                p,
+                &mut re[c * gh..(c + 1) * gh],
+                &mut im[c * gh..(c + 1) * gh],
+                &mut tmp.dft,
+            );
         }
     }
 
@@ -501,9 +500,7 @@ impl FftBatchedM2l {
             stride,
             acc_re: vec![0.0f64; slots * stride],
             acc_im: vec![0.0f64; slots * stride],
-            spec: vec![Complex::ZERO; self.spectrum_len()],
-            grid: vec![0.0f64; self.grid_len()],
-            fft: RFftScratch::default(),
+            dft: DftScratch::default(),
         }
     }
 
@@ -544,24 +541,23 @@ impl FftBatchedM2l {
         }
     }
 
-    /// Inverse-transform target accumulator `slot` and add the surface
-    /// values into the packed downward check potential (`n_surf·td`).
+    /// Inverse-transform target accumulator `slot` at the surface points
+    /// and add them into the packed downward check potential
+    /// (`n_surf·td`).
     pub fn finish(&self, scratch: &mut BatchScratch, slot: usize, dcheck: &mut [f64]) {
         let gh = self.spectrum_len();
         let td = self.td();
         debug_assert_eq!(dcheck.len(), self.surf_idx.len() * td);
         let lo = slot * scratch.stride;
         for tc in 0..td {
-            let ar = &scratch.acc_re[lo + tc * gh..lo + (tc + 1) * gh];
-            let ai = &scratch.acc_im[lo + tc * gh..lo + (tc + 1) * gh];
-            for (f, v) in scratch.spec.iter_mut().enumerate() {
-                *v = Complex::new(ar[f], ai[f]);
-            }
-            self.rfft
-                .inverse_with(&mut scratch.spec, &mut scratch.grid, &mut scratch.fft);
-            for (t, m) in self.surf_idx.iter().enumerate() {
-                dcheck[t * td + tc] += scratch.grid[self.grid_index(m[0], m[1], m[2])];
-            }
+            self.dft.inverse_at(
+                &scratch.acc_re[lo + tc * gh..lo + (tc + 1) * gh],
+                &scratch.acc_im[lo + tc * gh..lo + (tc + 1) * gh],
+                &self.surf_idx,
+                &mut dcheck[tc..],
+                td,
+                &mut scratch.dft,
+            );
         }
     }
 
@@ -570,15 +566,16 @@ impl FftBatchedM2l {
         flop_model::hadamard_edge(self.spectrum_len(), self.sd(), self.td())
     }
 
-    /// Flops for one source's forward transforms (half of the
-    /// complex-to-complex model).
+    /// Flops for one source's pruned forward transforms (`[0,p)³`
+    /// support, one per source component).
     pub fn flops_forward(&self) -> u64 {
-        flop_model::fft_real(self.grid_len()) * self.sd() as u64
+        flop_model::pruned_dft_forward(self.n, self.order) * self.sd() as u64
     }
 
-    /// Flops for one target's inverse transforms.
+    /// Flops for one target's pruned inverse transforms (surface points
+    /// only, one per target component).
     pub fn flops_inverse(&self) -> u64 {
-        flop_model::fft_real(self.grid_len()) * self.td() as u64
+        flop_model::pruned_dft_inverse(self.n, self.order, self.surf_idx.len()) * self.td() as u64
     }
 }
 
@@ -662,9 +659,12 @@ mod tests {
         }
     }
 
+    /// Orders 4 (n = 8, radix-2 sized), 6 (n = 12) and 8 (n = 16).
     #[test]
     fn laplace_all_offsets_match_dense() {
-        sweep_all_offsets(Arc::new(Laplace), 4, 2);
+        for order in [4, 6, 8] {
+            sweep_all_offsets(Arc::new(Laplace), order, 2);
+        }
     }
 
     #[test]

@@ -52,17 +52,25 @@ impl Phase {
 /// accounting and the modeled autotuner so every path charges the same
 /// arithmetic for the same work.
 pub mod flop_model {
-    /// Complex-to-complex 3-D FFT over `g` grid points (`5·g·log₂g`).
+    /// One pruned forward transform ([`crate::small_dft::PrunedDft3`]) of
+    /// a grid supported on `[0,e)³` of the `n`-torus: the r2c z pass over
+    /// `e²` rows, then complex y and x passes, counted as the real
+    /// multiply-adds the loops execute (2 flops each).
     #[inline]
-    pub fn fft_c2c(g: usize) -> u64 {
-        (5 * g * g.ilog2() as usize) as u64
+    pub fn pruned_dft_forward(n: usize, e: usize) -> u64 {
+        let h = n / 2 + 1;
+        let madds = 2 * e * e * e * h + 4 * e * n * e * h + 4 * n * e * n * h;
+        2 * madds as u64
     }
 
-    /// Real-input forward / real-output inverse transform: Hermitian
-    /// symmetry halves the complex cost.
+    /// One pruned inverse transform evaluated at `npts` points of the
+    /// `[0,p)³` corner: complex x and y passes for `x, y < p`, then a
+    /// c2r dot product of `n/2 + 1` terms per point.
     #[inline]
-    pub fn fft_real(g: usize) -> u64 {
-        fft_c2c(g) / 2
+    pub fn pruned_dft_inverse(n: usize, p: usize, npts: usize) -> u64 {
+        let h = n / 2 + 1;
+        let madds = 4 * p * n * n * h + 4 * p * p * n * h + 2 * npts * h;
+        2 * madds as u64
     }
 
     /// One dense M2L edge (`clen×ulen` mat-vec).

@@ -10,7 +10,8 @@
 //! on a mismatch, so a pooled workspace can never carry stale buffers
 //! into a different plan. The zero-allocation guarantee covers the
 //! default configuration (`--m2l=fft-batched`) at `threads = 1` on a
-//! single rank; the dense M2L oracle, `threads > 1` fan-out and the
+//! single rank; the dense M2L oracle, `threads > 1` fan-out (a fixed
+//! number of worker spawns per apply, nothing per octant) and the
 //! multi-rank ghost exchange stay correct but may allocate, as
 //! documented in DESIGN.md §15.
 //!

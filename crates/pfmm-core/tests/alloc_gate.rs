@@ -10,6 +10,9 @@
 //! gate then counts allocator hits across five more applies and demands
 //! zero.
 //!
+//! At `threads = 2` the gate is weaker but still structural: the
+//! allocations of a warm apply must not grow with the tree.
+//!
 //! The same counting allocator also validates the plan's byte
 //! accounting: `FmmPlan::memory_bytes` (which includes the workspace)
 //! must land within 1% of the live-byte delta the allocator actually
@@ -147,6 +150,63 @@ fn warm_apply_allocates_nothing_stokes_barrier() {
 fn warm_apply_allocates_nothing_stokes_graph() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     assert_zero_alloc_steady_state(Arc::new(Stokes { mu: 0.9 }), Schedule::Graph);
+}
+
+/// Fewest allocator calls over five warm applies, and the octant count,
+/// of a `threads = 2` plan over `n` Plummer points. The minimum, because
+/// which pooled scratch slot a worker checks out is timing-dependent: a
+/// slot first used late warms once, on one apply.
+fn two_thread_allocs_per_apply(n: usize) -> (u64, usize) {
+    let f = Fmm::new(
+        Arc::new(Laplace),
+        FmmConfig {
+            threads: 2,
+            order: 4,
+            q: 20,
+            ..config(Schedule::Barrier)
+        },
+    );
+    let mut pts = plummer(n, 4242, 0);
+    randomize_densities(&mut pts, 1, 7);
+    run(1, |c| {
+        let mut plan = f.plan(c, pts.clone());
+        let den = vec![0.5f64; plan.num_owned()];
+        let mut out = Vec::new();
+        f.apply_into(c, &mut plan, &den, &mut out);
+        f.apply_into(c, &mut plan, &den, &mut out);
+        let fewest = (0..5)
+            .map(|_| {
+                let before = ALLOC_CALLS.load(Ordering::Relaxed);
+                f.apply_into(c, &mut plan, &den, &mut out);
+                ALLOC_CALLS.load(Ordering::Relaxed) - before
+            })
+            .min()
+            .expect("five applies");
+        (fewest, plan.num_octants())
+    })
+    .pop()
+    .expect("one rank")
+}
+
+/// At `threads = 2` the fan-out itself allocates (worker spawns and
+/// their chunk lists, a fixed number per phase), but nothing per V-list
+/// source: the parallel forward transforms write straight into disjoint
+/// windows of the workspace's source spectra on pooled scratch. A tree
+/// several times larger must not cost a single extra allocation.
+#[test]
+fn two_thread_warm_apply_allocations_do_not_grow_with_vlist_sources() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, small_octs) = two_thread_allocs_per_apply(600);
+    let (large, large_octs) = two_thread_allocs_per_apply(4000);
+    assert!(
+        large_octs >= 3 * small_octs,
+        "trees too close in size: {small_octs} vs {large_octs} octants"
+    );
+    assert!(
+        large <= small,
+        "warm 2-thread apply: {small} allocations at {small_octs} octants, \
+         {large} at {large_octs}"
+    );
 }
 
 /// `FmmPlan::memory_bytes` (LET + lists + eval data + schedules +
