@@ -180,7 +180,7 @@ pub fn run_case_traced(
     let per = n_total / p;
     let out = run(p, |c| {
         let pts = dist.generate(per, seed + c.rank() as u64, (c.rank() * per) as u64, kdim);
-        let res = fmm.evaluate_traced(c, pts, tracer);
+        let res = fmm.evaluate_observed(c, pts, tracer, pfmm_metrics::global());
         (res.profile.clone(), res.comm_reduce, res.info)
     });
     let info = out[0].2;

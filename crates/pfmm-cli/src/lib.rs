@@ -477,7 +477,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let fmm = Fmm::new(kernel.clone(), cfg);
     let out = pfmm_mpisim::run(ranks, |c| {
         let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(ranks).copied().collect();
-        let res = fmm.evaluate_traced(c, mine, &tracer);
+        let res = fmm.evaluate_observed(c, mine, &tracer, pfmm_metrics::global());
         (
             res.profile.clone(),
             res.info,

@@ -3,7 +3,8 @@
 //!
 //! One [`Fmm`] object holds the kernel, the translation-operator caches,
 //! and the configuration; [`Fmm::evaluate`] runs the full pipeline on any
-//! communicator (including the trivial single-rank one):
+//! communicator (including the trivial single-rank one) as a
+//! [`Fmm::plan`] followed by one apply (both in [`crate::plan`]):
 //!
 //! setup — Morton sample sort → `Points2Octree` → LET → lists → (optional)
 //! work-weighted repartition and rebuild;
@@ -14,19 +15,13 @@
 //! flop accounting matching the paper's Table II rows.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use pfmm_kernels::Kernel;
 use pfmm_mpisim::collectives::{allgatherv, allreduce};
 use pfmm_mpisim::{Comm, CommStats};
 use pfmm_trace::{TraceLevel, Tracer, TID_MAIN};
-use pfmm_tree::{
-    bitonic_sort_points_with, build_let_with, build_lists_with, lists::leaf_weights,
-    octree_from_sorted_with, repartition_by_weight, sample_sort_points_with, Let, PointRec,
-    SetupPar,
-};
+use pfmm_tree::{Let, PointRec, SetupPar};
 
-use crate::exec::{run_phases, EvalData};
 use crate::m2l_batched::FftBatchedM2l;
 use crate::ops::Ops;
 use crate::profile::Profile;
@@ -219,30 +214,24 @@ impl Fmm {
     /// share of the points (any distribution) and receives potentials for
     /// the points it owns afterwards.
     pub fn evaluate(&self, c: &Comm, points: Vec<PointRec>) -> PotentialResult {
-        self.evaluate_traced(c, points, &Arc::new(Tracer::off()))
+        self.evaluate_observed(c, points, &Arc::new(Tracer::off()), pfmm_metrics::global())
     }
 
-    /// [`Fmm::evaluate`] with structured span tracing. Levels:
-    /// `Phase` records setup and whole-phase spans, `Task` adds one span
-    /// per chunk/task, `Comm` adds per-message instants and cross-rank
-    /// flow arrows (the tracer is attached to the communicator for the
-    /// duration of the call). Tracing never changes the arithmetic: a
-    /// traced run's potentials are bitwise identical to an untraced one,
-    /// under either executor.
-    pub fn evaluate_traced(
-        &self,
-        c: &Comm,
-        points: Vec<PointRec>,
-        tracer: &Arc<Tracer>,
-    ) -> PotentialResult {
-        self.evaluate_observed(c, points, tracer, pfmm_metrics::global())
-    }
-
-    /// [`Fmm::evaluate_traced`], publishing this run's accounting into
-    /// an explicit metrics registry instead of the process-wide one.
-    /// Recording happens after the arithmetic finishes, from the same
-    /// `Profile`/`CommStats` values stored in the returned result, so
-    /// metrics can never disagree with the result they describe.
+    /// [`Fmm::evaluate`] with structured span tracing, publishing this
+    /// run's accounting into an explicit metrics registry. The one-shot
+    /// evaluation is [`Fmm::plan`] followed by one apply of the points'
+    /// own densities, so its potentials are bitwise those of
+    /// `plan` + `apply` on the same input.
+    ///
+    /// Trace levels: `Phase` records setup and whole-phase spans, `Task`
+    /// adds one span per chunk/task, `Comm` adds per-message instants and
+    /// cross-rank flow arrows (the tracer is attached to the communicator
+    /// for the duration of the call). Tracing never changes the
+    /// arithmetic: a traced run's potentials are bitwise identical to an
+    /// untraced one, under either executor. Metrics are recorded after
+    /// the arithmetic finishes, from the same `Profile`/`CommStats`
+    /// values stored in the returned result, so they can never disagree
+    /// with the result they describe.
     pub fn evaluate_observed(
         &self,
         c: &Comm,
@@ -250,165 +239,32 @@ impl Fmm {
         tracer: &Arc<Tracer>,
         reg: &pfmm_metrics::MetricsRegistry,
     ) -> PotentialResult {
-        let mut prof = Profile::default();
-        let sd = self.kernel.source_dim();
-        let td = self.kernel.target_dim();
         if tracer.enabled(TraceLevel::Comm) {
             c.set_tracer(tracer.local(c.rank() as u32, TID_MAIN));
         }
-        let rank = c.rank() as u32;
+        let mut plan = self.plan_traced(c, points, tracer, true);
+        let den = plan.owned_densities();
+        let mut ws = plan.ws.take().expect("workspace built with the plan");
+        let mut pot = Vec::with_capacity(plan.num_owned() * self.kernel.target_dim());
+        let setup = plan.setup.clone();
+        let (profile, comm_reduce) =
+            self.apply_core(c, &mut plan, &mut ws, &den, &mut pot, tracer, setup);
 
-        // ---------------- Setup ----------------
-        // The setup family is traced as *disjoint* sibling spans on the
-        // driver lane ("Sort", then "Setup:Tree" / "Setup:Lists" /
-        // "Setup:Plan", with the balance rebuild emitting a second
-        // tree/lists pair) — never nested, so the Chrome per-lane nesting
-        // invariant holds at any clock resolution.
-        let par = self.setup_par();
-        let phase_on = tracer.enabled(TraceLevel::Phase);
-        let t_setup = Instant::now();
-        let ts_sort = tracer.now_us();
-        let t_sort = Instant::now();
-        let (sorted, region) = sort_points(self, c, points);
-        prof.sort_secs = t_sort.elapsed().as_secs_f64();
-        let ts_tree = tracer.now_us();
-        if phase_on {
-            tracer.record_span(rank, TID_MAIN, "Sort", "phase", ts_sort, ts_tree, &[]);
-        }
-        let t_tree = Instant::now();
-        let mut tree = octree_from_sorted_with(c, sorted, region, self.cfg.q, par);
-        let mut l = build_let_with(c, &tree, par);
-        prof.tree_secs = t_tree.elapsed().as_secs_f64();
-        let ts_lists = tracer.now_us();
-        if phase_on {
-            tracer.record_span(
-                rank,
-                TID_MAIN,
-                "Setup:Tree",
-                "phase",
-                ts_tree,
-                ts_lists,
-                &[],
-            );
-        }
-        let t_lists = Instant::now();
-        let mut lists = build_lists_with(&l, par);
-        prof.lists_secs = t_lists.elapsed().as_secs_f64();
-        let mut ts_cursor = tracer.now_us();
-        if phase_on {
-            tracer.record_span(
-                rank,
-                TID_MAIN,
-                "Setup:Lists",
-                "phase",
-                ts_lists,
-                ts_cursor,
-                &[],
-            );
-        }
-        if self.cfg.balance && c.size() > 1 {
-            let t_re = Instant::now();
-            let w = leaf_weights(&l, &lists);
-            tree = repartition_by_weight(c, tree, &w);
-            l = build_let_with(c, &tree, par);
-            prof.tree_secs += t_re.elapsed().as_secs_f64();
-            let ts_mid = tracer.now_us();
-            if phase_on {
-                tracer.record_span(
-                    rank,
-                    TID_MAIN,
-                    "Setup:Tree",
-                    "phase",
-                    ts_cursor,
-                    ts_mid,
-                    &[],
-                );
-            }
-            let t_re = Instant::now();
-            lists = build_lists_with(&l, par);
-            prof.lists_secs += t_re.elapsed().as_secs_f64();
-            let ts_done = tracer.now_us();
-            if phase_on {
-                tracer.record_span(rank, TID_MAIN, "Setup:Lists", "phase", ts_mid, ts_done, &[]);
-            }
-            ts_cursor = ts_done;
-        }
-        drop(tree);
-        // Plan precompute: evaluation workspace + translate grouping +
-        // shared-operator warm-up, all parallel under `par`.
-        let t_plan = Instant::now();
-        let data = EvalData::new_with(&l, sd, par);
-        self.ops.warm(data.max_level, par);
-        let mut ws = crate::workspace::EvalWorkspace::new(self, &l, &lists, 0);
-        prof.plan_secs = t_plan.elapsed().as_secs_f64();
-        prof.setup_secs = t_setup.elapsed().as_secs_f64();
-        if phase_on {
-            tracer.record_span(
-                rank,
-                TID_MAIN,
-                "Setup:Plan",
-                "phase",
-                ts_cursor,
-                tracer.now_us(),
-                &[],
-            );
-        }
-
-        // ---------------- Evaluation ----------------
-        let t_eval = Instant::now();
-        let comm_reduce = run_phases(self, c, &l, &lists, &data, &mut ws, &mut prof, tracer);
-        prof.total_secs = t_eval.elapsed().as_secs_f64();
-        let f = &ws.f;
-
-        // Collect output for owned points, in owned-leaf order.
-        let mut gids = Vec::new();
-        let mut pot = Vec::new();
-        for i in 0..l.len() {
-            if !l.owned[i] {
-                continue;
-            }
-            let off = l.pt_off[i];
-            for (j, p) in l.points_of(i).iter().enumerate() {
-                gids.push(p.gid);
-                pot.extend_from_slice(&f[(off + j) * td..(off + j + 1) * td]);
-            }
-        }
-
-        let info = tree_info(c, &l);
+        let info = tree_info(c, &plan.l);
         let comm = c.stats();
         if reg.enabled() {
-            crate::obs::record_evaluation(
-                reg,
-                self.kernel.name(),
-                &self.cfg,
-                c.rank(),
-                &prof,
-                &lists,
-            );
-            pfmm_mpisim::obs::record_comm(reg, c.rank(), &comm);
+            let (kernel, rank) = (self.kernel.name(), c.rank());
+            crate::obs::record_evaluation(reg, kernel, &self.cfg, rank, &profile, &plan.lists);
+            pfmm_mpisim::obs::record_comm(reg, rank, &comm);
         }
         PotentialResult {
-            gids,
+            gids: plan.owned_gids,
             pot,
-            profile: prof,
+            profile,
             comm,
             comm_reduce,
             info,
         }
-    }
-}
-
-/// Dispatch to the configured sort backend (bitonic degrades to sample
-/// sort on non-power-of-two communicators).
-pub(crate) fn sort_points(
-    fmm: &Fmm,
-    c: &Comm,
-    points: Vec<PointRec>,
-) -> (Vec<PointRec>, Vec<u128>) {
-    let par = fmm.setup_par();
-    match fmm.cfg.sort {
-        SortKind::Bitonic if c.size().is_power_of_two() => bitonic_sort_points_with(c, points, par),
-        _ => sample_sort_points_with(c, points, par),
     }
 }
 
@@ -423,14 +279,11 @@ fn tree_info(c: &Comm, l: &Let) -> TreeInfo {
             maxl = maxl.max(l.octs[i].level());
         }
     }
-    let red = allreduce(c, vec![local_leaves, minl as u64, maxl as u64], |a, b| {
-        a + b
-    });
-    // Sum works for leaves; min/max need their own ops.
+    let leaves = allreduce(c, vec![local_leaves], |a, b| a + b);
     let minmax = allreduce(c, vec![minl as u64], std::cmp::min);
     let maxmax = allreduce(c, vec![maxl as u64], std::cmp::max);
     TreeInfo {
-        global_leaves: red[0],
+        global_leaves: leaves[0],
         local_octants: l.len() as u64,
         min_leaf_level: minmax[0] as u32,
         max_leaf_level: maxmax[0] as u32,
@@ -535,10 +388,8 @@ mod tests {
     ) -> Vec<(u64, Vec<f64>)> {
         let td = kernel.target_dim();
         let fmm = Fmm::new(kernel, cfg);
-        let n_per = pts.len() / p;
         let mut out = run(p, |c| {
             let mine: Vec<PointRec> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
-            let _ = n_per;
             let res = fmm.evaluate(c, mine);
             gather_potentials(c, &res, td)
         });
@@ -749,6 +600,14 @@ mod tests {
         assert!(p.flops(Phase::Upward) > 0);
         assert!(p.total_secs > 0.0);
         assert!(p.setup_secs > 0.0);
+        for (stage, secs) in [
+            ("sort", p.sort_secs),
+            ("tree", p.tree_secs),
+            ("lists", p.lists_secs),
+            ("plan", p.plan_secs),
+        ] {
+            assert!(secs > 0.0, "{stage} stage timed on the evaluate path");
+        }
     }
 
     #[test]
@@ -821,10 +680,11 @@ mod tests {
     /// Tracing must be an observer: at full (Comm) level the potentials
     /// stay bitwise identical to an untraced run under both executors,
     /// and the emitted event stream is structurally valid Chrome trace
-    /// material.
+    /// material carrying every rank's setup stages (emitted by the plan
+    /// pipeline; the balance rebuild adds a second tree/lists pair).
     #[test]
     fn traced_evaluation_is_bitwise_identical_and_emits_valid_spans() {
-        use pfmm_trace::{chrome, TraceLevel, Tracer};
+        use pfmm_trace::{chrome, EventKind, TraceLevel, Tracer};
         let mut pts = uniform_cube(800, 61, 0);
         randomize_densities(&mut pts, 1, 31);
         for schedule in [Schedule::Barrier, Schedule::Graph] {
@@ -843,7 +703,7 @@ mod tests {
             run(p, |c| {
                 let mine: Vec<PointRec> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
                 let plain = fmm.evaluate(c, mine.clone());
-                let traced = fmm.evaluate_traced(c, mine, &tracer);
+                let traced = fmm.evaluate_observed(c, mine, &tracer, pfmm_metrics::global());
                 assert_eq!(plain.pot.len(), traced.pot.len());
                 for (a, b) in plain.pot.iter().zip(&traced.pot) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{schedule:?}: traced != plain");
@@ -853,6 +713,17 @@ mod tests {
             assert!(!evs.is_empty(), "{schedule:?}: events recorded");
             let st = chrome::validate(&evs).expect("structurally valid trace");
             assert!(st.spans > 0, "{schedule:?}: spans present");
+            for rank in 0..p as u32 {
+                let opened = |name: &str| {
+                    evs.iter()
+                        .filter(|e| e.kind == EventKind::Begin && e.rank == rank && e.name == name)
+                        .count()
+                };
+                assert_eq!(opened("Sort"), 1, "{schedule:?} rank {rank}: one Sort span");
+                for stage in ["Setup:Tree", "Setup:Lists", "Setup:Plan"] {
+                    assert!(opened(stage) >= 1, "{schedule:?} rank {rank}: {stage} span");
+                }
+            }
         }
     }
 

@@ -77,15 +77,10 @@ pub struct EvalData {
 
 impl EvalData {
     /// Extract the evaluation workspace from a LET; densities are taken
-    /// from the point records (replace them later via `leaf_den`).
-    pub fn new(l: &Let, sd: usize) -> EvalData {
-        EvalData::new_with(l, sd, SetupPar::Serial)
-    }
-
-    /// [`EvalData::new`] with the per-octant geometry/density extraction
-    /// and the translate grouping parallelized under `par`. Every
-    /// per-octant result is reassembled in octant order, so the
-    /// workspace is identical to the serial build.
+    /// from the point records (replace them later via `leaf_den`). The
+    /// per-octant geometry/density extraction and the translate grouping
+    /// run under `par`; every per-octant result is reassembled in octant
+    /// order, so the workspace is identical to the serial build.
     pub fn new_with(l: &Let, sd: usize, par: SetupPar) -> EvalData {
         let noct = l.len();
         let filled: Vec<(Vec<Point3>, Vec<f64>)> = par_map_n(par.threads(), noct, |i| {

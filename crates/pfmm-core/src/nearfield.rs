@@ -466,7 +466,7 @@ mod tests {
     }
 
     fn eval_data(l: &Let, sd: usize) -> (Vec<Vec<Point3>>, Vec<Vec<f64>>) {
-        let data = crate::exec::EvalData::new(l, sd);
+        let data = crate::exec::EvalData::new_with(l, sd, pfmm_tree::SetupPar::Serial);
         (data.leaf_pos, data.leaf_den)
     }
 

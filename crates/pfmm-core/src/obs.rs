@@ -93,15 +93,6 @@ pub fn record_plan_build(kernel: &str) {
     }
 }
 
-/// Count a plan reuse (one density set applied against a built plan).
-pub fn record_plan_apply(kernel: &str) {
-    let reg = pfmm_metrics::global();
-    if reg.enabled() {
-        reg.counter("pfmm_plan_applies_total", &[("kernel", kernel)])
-            .inc();
-    }
-}
-
 /// Resolve the `pfmm_plan_applies_total` handle once, so apply hot paths
 /// can bump it without the registry's find-or-create lock (and its key
 /// allocations). Resolved unconditionally: the registry may be enabled

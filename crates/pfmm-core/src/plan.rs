@@ -9,17 +9,24 @@
 //! refreshes the ghost copies of the densities with a deterministic
 //! point-to-point exchange (both sides derive the same schedule from the
 //! region fence — no negotiation round) and reruns the evaluation phases.
+//!
+//! This module holds the only setup pipeline (Morton sort → octree → LET
+//! → lists → optional work-weighted repartition and rebuild → plan
+//! precompute) and the only apply body; the one-shot [`Fmm::evaluate`]
+//! is a plan followed by one apply.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use pfmm_mpisim::Comm;
+use pfmm_mpisim::{Comm, CommStats};
+use pfmm_trace::{Tracer, TID_MAIN};
 use pfmm_tree::{
-    build_let_with, build_lists_with, lists::leaf_weights, octree_from_sorted_with,
-    repartition_by_weight, user_ranks, Let, Lists, PointRec,
+    bitonic_sort_points_with, build_let_with, build_lists_with, lists::leaf_weights,
+    octree_from_sorted_with, repartition_by_weight, sample_sort_points_with, user_ranks, Let,
+    Lists, PointRec,
 };
 
-use crate::driver::{Fmm, FmmConfig};
+use crate::driver::{Fmm, FmmConfig, SortKind};
 use crate::exec::{run_phases, EvalData};
 use crate::profile::Profile;
 use crate::workspace::EvalWorkspace;
@@ -104,8 +111,8 @@ pub fn plan_fingerprint(
 
 /// A frozen FMM setup for one point geometry.
 pub struct FmmPlan {
-    l: Let,
-    lists: Lists,
+    pub(crate) l: Let,
+    pub(crate) lists: Lists,
     data: EvalData,
     /// Per destination rank: owned point-carrying leaf indices whose
     /// densities that rank needs (Morton order).
@@ -114,7 +121,7 @@ pub struct FmmPlan {
     /// receive (Morton order, mirror of the sender's list).
     recv_plan: Vec<(usize, Vec<usize>)>,
     /// Gids of the points this rank owns, in storage order.
-    owned_gids: Vec<u64>,
+    pub(crate) owned_gids: Vec<u64>,
     /// Density components per point.
     sd: usize,
     /// Potential components per point.
@@ -124,8 +131,13 @@ pub struct FmmPlan {
     /// The plan-owned evaluation workspace, created lazily on the first
     /// apply so a freshly built plan stays cheap to inspect; external
     /// workspaces (serve-layer pools) go through [`Fmm::apply_ws`] and
-    /// leave this slot empty.
-    ws: Option<EvalWorkspace>,
+    /// leave this slot empty. The one-shot evaluation builds it inside
+    /// the timed setup and takes it out for its single apply.
+    pub(crate) ws: Option<EvalWorkspace>,
+    /// Seconds of the setup stages that built this plan (`sort_secs`,
+    /// `tree_secs`, `lists_secs`, `plan_secs`, `setup_secs`; every other
+    /// field zero).
+    pub(crate) setup: Profile,
 }
 
 impl FmmPlan {
@@ -150,6 +162,15 @@ impl FmmPlan {
     /// Octants in this rank's LET.
     pub fn num_octants(&self) -> usize {
         self.l.len()
+    }
+
+    /// The densities of the owned point records, packed in
+    /// [`FmmPlan::owned_gids`] order.
+    pub(crate) fn owned_densities(&self) -> Vec<f64> {
+        (0..self.l.len())
+            .filter(|&i| self.l.owned[i])
+            .flat_map(|i| self.data.leaf_den[i].iter().copied())
+            .collect()
     }
 
     /// Heap bytes held by the plan (LET + lists + evaluation workspace +
@@ -178,27 +199,80 @@ impl FmmPlan {
 
 const TAG_DEN: u32 = 0x20;
 
+/// Dispatch to the configured sort backend (bitonic degrades to sample
+/// sort on non-power-of-two communicators).
+pub(crate) fn sort_points(
+    fmm: &Fmm,
+    c: &Comm,
+    points: Vec<PointRec>,
+) -> (Vec<PointRec>, Vec<u128>) {
+    let par = fmm.setup_par();
+    match fmm.config().sort {
+        SortKind::Bitonic if c.size().is_power_of_two() => bitonic_sort_points_with(c, points, par),
+        _ => sample_sort_points_with(c, points, par),
+    }
+}
+
 impl Fmm {
     /// Build a reusable plan: sort, tree, LET, lists, load balancing —
     /// everything except the density-dependent evaluation.
     pub fn plan(&self, c: &Comm, points: Vec<PointRec>) -> FmmPlan {
+        self.plan_traced(c, points, &Tracer::off(), false)
+    }
+
+    /// The one setup pipeline, behind both [`Fmm::plan`] and
+    /// [`Fmm::evaluate`]. Each stage is timed on the tracer's clock into
+    /// [`FmmPlan::setup`] and traced as a *disjoint* sibling span on the
+    /// driver lane ("Sort", then "Setup:Tree" / "Setup:Lists" /
+    /// "Setup:Plan", with the balance rebuild emitting a second
+    /// tree/lists pair) — never nested, so the Chrome per-lane nesting
+    /// invariant holds at any clock resolution. `eager_ws` builds the
+    /// evaluation workspace inside the plan stage, so a one-shot
+    /// evaluation's setup covers everything before its first phase.
+    pub(crate) fn plan_traced(
+        &self,
+        c: &Comm,
+        points: Vec<PointRec>,
+        tracer: &Tracer,
+        eager_ws: bool,
+    ) -> FmmPlan {
         crate::obs::record_plan_build(self.kernel().name());
         let sd = self.kernel().source_dim();
         let td = self.kernel().target_dim();
         let par = self.setup_par();
-        let (sorted, region) = crate::driver::sort_points(self, c, points);
+        let uid = NEXT_PLAN_UID.fetch_add(1, Ordering::Relaxed);
+        let rank = c.rank() as u32;
+        let mut setup = Profile::default();
+        let start = tracer.now_us();
+        let mut mark = start;
+        // Close the stage that began at `mark`: charge its seconds and
+        // emit its span.
+        let mut stage = |name: &'static str, secs: &mut f64| {
+            let now = tracer.now_us();
+            *secs += (now - mark) * 1e-6;
+            tracer.record_span(rank, TID_MAIN, name, "phase", mark, now, &[]);
+            mark = now;
+        };
+
+        let (sorted, region) = sort_points(self, c, points);
+        stage("Sort", &mut setup.sort_secs);
         let mut tree = octree_from_sorted_with(c, sorted, region, self.config().q, par);
-        let mut l = build_let_with(c, &tree, par);
-        let mut lists = build_lists_with(&l, par);
-        if self.config().balance && c.size() > 1 {
-            let w = leaf_weights(&l, &lists);
-            tree = repartition_by_weight(c, tree, &w);
-            l = build_let_with(c, &tree, par);
-            lists = build_lists_with(&l, par);
-        }
+        let mut rebalance = self.config().balance && c.size() > 1;
+        let (l, lists) = loop {
+            let l = build_let_with(c, &tree, par);
+            stage("Setup:Tree", &mut setup.tree_secs);
+            let lists = build_lists_with(&l, par);
+            stage("Setup:Lists", &mut setup.lists_secs);
+            if !std::mem::take(&mut rebalance) {
+                break (l, lists);
+            }
+            // Work-weighted repartition (§III-B), then one rebuild.
+            tree = repartition_by_weight(c, tree, &leaf_weights(&l, &lists));
+        };
         drop(tree);
         let data = EvalData::new_with(&l, sd, par);
         self.ops().warm(data.max_level, par);
+        let ws = eager_ws.then(|| EvalWorkspace::new(self, &l, &lists, uid));
 
         // Deterministic ghost-density exchange schedule. Sender side: my
         // owned point-carrying leaves, routed by the same user test as
@@ -234,6 +308,8 @@ impl Fmm {
                 owned_gids.extend(l.points_of(i).iter().map(|pt| pt.gid));
             }
         }
+        stage("Setup:Plan", &mut setup.plan_secs);
+        setup.setup_secs = (mark - start) * 1e-6;
 
         FmmPlan {
             l,
@@ -252,8 +328,9 @@ impl Fmm {
             owned_gids,
             sd,
             td,
-            uid: NEXT_PLAN_UID.fetch_add(1, Ordering::Relaxed),
-            ws: None,
+            uid,
+            ws,
+            setup,
         }
     }
 
@@ -264,30 +341,6 @@ impl Fmm {
     /// # Panics
     /// Panics if `densities.len() != plan.num_owned() * source_dim`.
     pub fn apply(&self, c: &Comm, plan: &mut FmmPlan, densities: &[f64]) -> (Vec<f64>, Profile) {
-        self.apply_one(c, plan, densities)
-    }
-
-    /// Evaluate several density sets against one plan — the serve layer's
-    /// batched path. Each set is scattered, ghost-exchanged, and run
-    /// through the evaluation phases in order; the expensive
-    /// geometry-dependent setup (tree, LET, lists, exchange schedules) is
-    /// paid once at [`Fmm::plan`] time and shared by every set. Results
-    /// are positionally aligned with `densities`, and each is bitwise
-    /// identical to a standalone [`Fmm::apply`] of the same set (applies
-    /// do not interact — `apply_is_repeatable_and_linear` asserts this).
-    pub fn apply_batch(
-        &self,
-        c: &Comm,
-        plan: &mut FmmPlan,
-        densities: &[&[f64]],
-    ) -> Vec<(Vec<f64>, Profile)> {
-        densities
-            .iter()
-            .map(|den| self.apply_one(c, plan, den))
-            .collect()
-    }
-
-    fn apply_one(&self, c: &Comm, plan: &mut FmmPlan, densities: &[f64]) -> (Vec<f64>, Profile) {
         let mut pot = Vec::with_capacity(plan.num_owned() * plan.td);
         let prof = self.apply_into(c, plan, densities, &mut pot);
         (pot, prof)
@@ -307,35 +360,17 @@ impl Fmm {
         densities: &[f64],
         out: &mut Vec<f64>,
     ) -> Profile {
-        assert_eq!(
-            densities.len(),
-            plan.num_owned() * plan.sd,
-            "densities must align with owned_gids"
-        );
-        if plan.ws.is_none() {
-            plan.ws = Some(EvalWorkspace::new(self, &plan.l, &plan.lists, plan.uid));
-        }
-        let FmmPlan {
-            ref l,
-            ref lists,
-            ref mut data,
-            ref send_plan,
-            ref recv_plan,
-            sd,
-            td,
-            ref mut ws,
-            ..
-        } = *plan;
-        let ws = ws.as_mut().expect("created above");
-        self.apply_core(
-            c, l, lists, data, send_plan, recv_plan, sd, td, ws, densities, out,
-        )
+        let mut ws = plan.ws.take().unwrap_or_else(|| self.workspace(plan));
+        let prof = self.apply_ws(c, plan, &mut ws, densities, out);
+        plan.ws = Some(ws);
+        prof
     }
 
     /// [`Fmm::apply_into`] with an external (pooled) workspace instead of
-    /// the plan-owned one. A workspace tagged for a different plan is
-    /// rebuilt in place first, so stale buffers can never leak across
-    /// plan generations; a matching workspace is reused as-is.
+    /// the plan-owned one — the serve layer's path. A workspace tagged
+    /// for a different plan is rebuilt in place first, so stale buffers
+    /// can never leak across plan generations; a matching workspace is
+    /// reused as-is.
     ///
     /// # Panics
     /// Panics if `densities.len() != plan.num_owned() * source_dim`.
@@ -353,40 +388,11 @@ impl Fmm {
             "densities must align with owned_gids"
         );
         if ws.plan_uid() != plan.uid {
-            *ws = EvalWorkspace::new(self, &plan.l, &plan.lists, plan.uid);
+            *ws = self.workspace(plan);
         }
-        let FmmPlan {
-            ref l,
-            ref lists,
-            ref mut data,
-            ref send_plan,
-            ref recv_plan,
-            sd,
-            td,
-            ..
-        } = *plan;
-        self.apply_core(
-            c, l, lists, data, send_plan, recv_plan, sd, td, ws, densities, out,
-        )
-    }
-
-    /// [`Fmm::apply_batch`] with an external workspace — the serve
-    /// layer's pooled path. Bitwise identical to the plan-owned batch.
-    pub fn apply_batch_ws(
-        &self,
-        c: &Comm,
-        plan: &mut FmmPlan,
-        ws: &mut EvalWorkspace,
-        densities: &[&[f64]],
-    ) -> Vec<(Vec<f64>, Profile)> {
-        densities
-            .iter()
-            .map(|den| {
-                let mut out = Vec::with_capacity(plan.num_owned() * plan.td);
-                let prof = self.apply_ws(c, plan, ws, den, &mut out);
-                (out, prof)
-            })
-            .collect()
+        let tracer = Tracer::off();
+        self.apply_core(c, plan, ws, densities, out, &tracer, Profile::default())
+            .0
     }
 
     /// Build a fresh evaluation workspace for `plan`, sized from its LET
@@ -396,23 +402,30 @@ impl Fmm {
         EvalWorkspace::new(self, &plan.l, &plan.lists, plan.uid)
     }
 
-    /// The shared apply body: scatter densities, refresh ghosts, run the
-    /// phases out of the workspace, collect the owned potentials.
+    /// The one apply body: scatter densities, refresh ghosts, run the
+    /// phases out of the workspace under `tracer`, collect the owned
+    /// potentials. Phase seconds and flops accumulate into `prof`, which
+    /// is returned with the Comm-phase traffic.
     #[allow(clippy::too_many_arguments)]
-    fn apply_core(
+    pub(crate) fn apply_core(
         &self,
         c: &Comm,
-        l: &Let,
-        lists: &Lists,
-        data: &mut EvalData,
-        send_plan: &[(usize, Vec<usize>)],
-        recv_plan: &[(usize, Vec<usize>)],
-        sd: usize,
-        td: usize,
+        plan: &mut FmmPlan,
         ws: &mut EvalWorkspace,
         densities: &[f64],
         out: &mut Vec<f64>,
-    ) -> Profile {
+        tracer: &Tracer,
+        mut prof: Profile,
+    ) -> (Profile, CommStats) {
+        let (sd, td) = (plan.sd, plan.td);
+        let FmmPlan {
+            l,
+            lists,
+            data,
+            send_plan,
+            recv_plan,
+            ..
+        } = plan;
         ws.record_apply();
         // Scatter the new densities into the owned leaves.
         let mut cursor = 0usize;
@@ -428,14 +441,14 @@ impl Fmm {
         debug_assert_eq!(densities.len(), cursor * sd, "aligned with owned_gids");
 
         // Refresh ghost copies (U- and X-list sources on other ranks).
-        for (dest, leaves) in send_plan {
+        for (dest, leaves) in send_plan.iter() {
             let mut buf = Vec::new();
             for &i in leaves {
                 buf.extend_from_slice(&data.leaf_den[i]);
             }
             c.send_vec(*dest, TAG_DEN, buf);
         }
-        for (src, leaves) in recv_plan {
+        for (src, leaves) in recv_plan.iter() {
             let buf = c.recv::<f64>(*src, TAG_DEN);
             let mut off = 0usize;
             for &i in leaves {
@@ -448,10 +461,8 @@ impl Fmm {
         }
 
         // Run the evaluation phases and collect the owned potentials.
-        let mut prof = Profile::default();
         let t0 = Instant::now();
-        let tracer = pfmm_trace::Tracer::off();
-        let _ = run_phases(self, c, l, lists, data, ws, &mut prof, &tracer);
+        let comm_reduce = run_phases(self, c, l, lists, data, ws, &mut prof, tracer);
         prof.total_secs = t0.elapsed().as_secs_f64();
         out.clear();
         for i in 0..l.len() {
@@ -462,7 +473,7 @@ impl Fmm {
             let n = data.leaf_pos[i].len();
             out.extend_from_slice(&ws.f[off * td..(off + n) * td]);
         }
-        prof
+        (prof, comm_reduce)
     }
 }
 
@@ -470,7 +481,7 @@ impl Fmm {
 mod tests {
     use super::*;
     use crate::distrib::{randomize_densities, uniform_cube};
-    use crate::driver::{gather_potentials, FmmConfig};
+    use crate::driver::{gather_potentials, FmmConfig, Schedule};
     use pfmm_kernels::Laplace;
     use pfmm_mpisim::run;
     use std::collections::HashMap;
@@ -487,53 +498,63 @@ mod tests {
         )
     }
 
-    /// plan+apply with the original densities must reproduce evaluate().
+    /// plan + apply_into with the original densities reproduces
+    /// evaluate() bitwise under both executors — the one-shot path is a
+    /// plan followed by one apply.
     #[test]
     fn apply_matches_evaluate() {
-        for p in [1usize, 2, 4] {
-            let mut pts = uniform_cube(1200, 401, 0);
-            randomize_densities(&mut pts, 1, 3);
-            let f = fmm();
-            let via_eval: HashMap<u64, f64> = run(p, |c| {
-                let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
-                let res = f.evaluate(c, mine);
-                gather_potentials(c, &res, 1)
-            })
-            .pop()
-            .expect("rank 0")
-            .into_iter()
-            .map(|(g, v)| (g, v[0]))
-            .collect();
+        let mut pts = uniform_cube(1200, 401, 0);
+        randomize_densities(&mut pts, 1, 3);
+        for schedule in [Schedule::Barrier, Schedule::Graph] {
+            let f = Fmm::new(
+                Arc::new(Laplace),
+                FmmConfig {
+                    order: 4,
+                    q: 30,
+                    schedule,
+                    ..Default::default()
+                },
+            );
+            for p in [1usize, 2, 4] {
+                let via_eval: HashMap<u64, f64> = run(p, |c| {
+                    let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
+                    let res = f.evaluate(c, mine);
+                    gather_potentials(c, &res, 1)
+                })
+                .pop()
+                .expect("rank 0")
+                .into_iter()
+                .map(|(g, v)| (g, v[0]))
+                .collect();
 
-            let via_plan: HashMap<u64, f64> = run(p, |c| {
-                let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
-                let mut plan = f.plan(c, mine);
-                let den: Vec<f64> = plan
-                    .owned_gids()
-                    .iter()
-                    .map(|g| pts[*g as usize].den[0])
-                    .collect();
-                let (pot, _) = f.apply(c, &mut plan, &den);
-                let pairs: Vec<(u64, f64)> = plan
-                    .owned_gids()
-                    .iter()
-                    .zip(&pot)
-                    .map(|(g, v)| (*g, *v))
-                    .collect();
-                pfmm_mpisim::collectives::allgatherv(c, &pairs)
-            })
-            .pop()
-            .expect("rank 0")
-            .into_iter()
-            .collect();
+                let via_plan: HashMap<u64, f64> = run(p, |c| {
+                    let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
+                    let mut plan = f.plan(c, mine);
+                    let den: Vec<f64> = plan
+                        .owned_gids()
+                        .iter()
+                        .map(|g| pts[*g as usize].den[0])
+                        .collect();
+                    let mut pot = Vec::new();
+                    f.apply_into(c, &mut plan, &den, &mut pot);
+                    let pairs: Vec<(u64, f64)> =
+                        plan.owned_gids().iter().copied().zip(pot).collect();
+                    pfmm_mpisim::collectives::allgatherv(c, &pairs)
+                })
+                .pop()
+                .expect("rank 0")
+                .into_iter()
+                .collect();
 
-            assert_eq!(via_eval.len(), via_plan.len());
-            for (gid, want) in &via_eval {
-                let got = via_plan[gid];
-                assert!(
-                    (got - want).abs() < 1e-11 * want.abs().max(1.0),
-                    "p={p} gid={gid}: {got} vs {want}"
-                );
+                assert_eq!(via_eval.len(), via_plan.len());
+                for (gid, want) in &via_eval {
+                    let got = via_plan[gid];
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{schedule:?} p={p} gid={gid}: {got} vs {want}"
+                    );
+                }
             }
         }
     }
@@ -636,36 +657,6 @@ mod tests {
             large[0],
             small[0]
         );
-    }
-
-    /// The batched path is positionally aligned and bitwise identical to
-    /// standalone applies of the same density sets.
-    #[test]
-    fn apply_batch_matches_individual_applies() {
-        let mut pts = uniform_cube(700, 421, 0);
-        randomize_densities(&mut pts, 1, 7);
-        let f = fmm();
-        run(2, |c| {
-            let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(2).copied().collect();
-            let mut plan = f.plan(c, mine);
-            let base: Vec<f64> = plan
-                .owned_gids()
-                .iter()
-                .map(|g| pts[*g as usize].den[0])
-                .collect();
-            let sets: Vec<Vec<f64>> = (0..3)
-                .map(|k| base.iter().map(|v| v * (k + 1) as f64).collect())
-                .collect();
-            let refs: Vec<&[f64]> = sets.iter().map(|s| s.as_slice()).collect();
-            let batched = f.apply_batch(c, &mut plan, &refs);
-            assert_eq!(batched.len(), 3);
-            for (k, set) in sets.iter().enumerate() {
-                let (single, _) = f.apply(c, &mut plan, set);
-                for (a, b) in batched[k].0.iter().zip(&single) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "set {k}");
-                }
-            }
-        });
     }
 
     /// Plan-reuse purity of the translate grouping: the cached plan's

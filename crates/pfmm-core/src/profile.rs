@@ -142,8 +142,10 @@ pub struct Profile {
     /// Seconds of setup spent building the U/V/W/X interaction lists
     /// (including the post-balance rebuild).
     pub lists_secs: f64,
-    /// Seconds of setup spent in the plan precompute: evaluation
-    /// workspace extraction, translate grouping, operator warm-up.
+    /// Seconds of setup spent in the plan precompute: leaf data
+    /// extraction, translate grouping, operator warm-up, the ghost-density
+    /// exchange schedule and, on the one-shot evaluate path, the
+    /// evaluation workspace.
     pub plan_secs: f64,
     /// Compute-task seconds that executed while communication was in
     /// flight (graph executor only; 0 under the barrier executor, which

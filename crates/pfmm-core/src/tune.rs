@@ -155,7 +155,7 @@ pub struct M2lChoice {
 pub fn m2l_level_stats(fmm: &Fmm, points: &[PointRec]) -> Vec<M2lLevelStats> {
     let pts = points.to_vec();
     run(1, |c| {
-        let (sorted, region) = crate::driver::sort_points(fmm, c, pts.clone());
+        let (sorted, region) = crate::plan::sort_points(fmm, c, pts.clone());
         let tree = octree_from_sorted(c, sorted, region, fmm.config().q);
         let l = build_let(c, &tree);
         let lists = build_lists(&l);

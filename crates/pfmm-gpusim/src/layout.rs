@@ -250,7 +250,7 @@ mod tests {
         // traversal order).
         let (l, lists) = small_let(600, 12);
         let lay = GpuLayout::build(&l, &lists, 64);
-        let data = pfmm_core::exec::EvalData::new(&l, 1);
+        let data = pfmm_core::exec::EvalData::new_with(&l, 1, pfmm_tree::SetupPar::Serial);
         let nf = pfmm_core::NearField::build(&l, &lists, &data.leaf_pos, &data.leaf_den, 1);
 
         assert_eq!(nf.num_src_boxes(), lay.num_src_boxes());

@@ -16,7 +16,7 @@
 //! - [`cost`] — per-request time estimates from `pfmm-perfmodel`,
 //!   calibrated at startup against one measured probe.
 //! - [`pool`] — worker threads driving flushed batches through
-//!   [`pfmm_core::Fmm::apply_batch`] (and thereby the existing
+//!   [`pfmm_core::Fmm::apply_ws`] (and thereby the existing
 //!   barrier/graph executors), emitting per-request lifecycle spans.
 //! - [`loadgen`] — a seeded open/closed-loop workload generator whose
 //!   request stream (geometries, hot/cold mix, densities, priorities)

@@ -3,10 +3,11 @@
 //!
 //! A worker resolves the batch's plan through the [`PlanCache`] (build
 //! outside the cache lock on a miss), derives each request's densities
-//! from its seed, and drives the whole batch through
-//! [`Fmm::apply_batch`] under a single plan lock — which in turn runs the
-//! configured executor (`--schedule=barrier` or the `pfmm-sched`
-//! dependency-graph executor) exactly as a standalone evaluation would.
+//! from its seed, and drives the whole batch under a single plan lock,
+//! one [`Fmm::apply_ws`] per request against a pooled workspace — which
+//! in turn runs the configured executor (`--schedule=barrier` or the
+//! `pfmm-sched` dependency-graph executor) exactly as a standalone
+//! evaluation would.
 //! The serve layer adds no numerical path of its own: a batch of one
 //! through a cold plan is bit-for-bit a plain `plan` + `apply`.
 //!
@@ -112,14 +113,20 @@ impl Executor {
                 .map(|r| densities(&g, sd, r.density_seed))
                 .collect()
         };
-        let refs: Vec<&[f64]> = dens.iter().map(|d| d.as_slice()).collect();
 
         let exec_start_us = self.now_us();
         let results = run(1, |c| {
             let mut g = plan.lock().unwrap();
             let uid = g.uid();
             let mut ws = self.workspaces.checkout(uid, || self.fmm.workspace(&g));
-            let out = self.fmm.apply_batch_ws(c, &mut g, &mut ws, &refs);
+            let out: Vec<Vec<f64>> = dens
+                .iter()
+                .map(|den| {
+                    let mut pot = Vec::new();
+                    self.fmm.apply_ws(c, &mut g, &mut ws, den, &mut pot);
+                    pot
+                })
+                .collect();
             self.workspaces.put_back(uid, ws);
             out
         })
@@ -134,7 +141,7 @@ impl Executor {
             .reqs
             .iter()
             .zip(results)
-            .map(|(r, (pot, _profile))| ReqDone {
+            .map(|(r, pot)| ReqDone {
                 id: r.id,
                 arrive_us: r.arrive_us,
                 deadline_us: r.deadline_us,

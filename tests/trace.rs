@@ -46,7 +46,7 @@ fn run_traced(
 ) -> (Vec<(Potentials, CommStats)>, Vec<Event>) {
     let out = mpisim::run(P, |c| {
         let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(P).copied().collect();
-        let res = fmm.evaluate_traced(c, mine, tracer);
+        let res = fmm.evaluate_observed(c, mine, tracer, pfmm_metrics::global());
         (gather_potentials(c, &res, 1), c.stats())
     });
     let events = tracer.drain();
@@ -148,7 +148,9 @@ fn profile_overlap_matches_span_derived_comm_compute_intersection() {
     let tracer = Arc::new(Tracer::new(TraceLevel::Comm));
     let out = mpisim::run(P, |c| {
         let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(P).copied().collect();
-        fmm.evaluate_traced(c, mine, &tracer).profile.clone()
+        fmm.evaluate_observed(c, mine, &tracer, pfmm_metrics::global())
+            .profile
+            .clone()
     });
     let events = tracer.drain();
     for (rank, prof) in out.iter().enumerate() {
