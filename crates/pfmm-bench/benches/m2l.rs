@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pfmm_core::m2l_batched::{offset_slot, FftBatchedM2l};
+use pfmm_core::m2l_batched::{offset_index, EdgeBatch, FftBatchedM2l, BATCH_TARGETS};
 use pfmm_core::m2l_fft::FftM2l;
 use pfmm_core::ops::Ops;
 use pfmm_core::small_dft::{DftScratch, PrunedDft3};
@@ -55,35 +55,54 @@ fn bench_m2l(c: &mut Criterion) {
         });
     }
 
-    // Batched half-spectrum path: one transfer-vector bucket at a
-    // realistic size (a uniform interior level feeds each spectrum to
-    // many targets), measured as the whole bucket's split-complex
-    // Hadamard accumulation.
-    const BUCKET: usize = 32;
+    // Batched half-spectrum path: the sibling-blocked Hadamard for one
+    // (target parent, source parent) pair — the 8 target children against
+    // the 8 source children of a face colleague, 48 non-adjacent child
+    // edges — and for one interior sibling group (all 26 colleagues,
+    // 1512 child edges). Divide by the edge count for µs per child edge.
     for order in [4usize, 6, 8] {
         let ops = Ops::new(Arc::new(Laplace), order, 1e-12);
         let eng = FftBatchedM2l::new(Arc::new(Laplace), order);
         let nd = ops.density_len();
         let level = 4u32;
-        let offset = [2i8, -1, 3];
-        let table = eng.build_table(&[(level, offset)], 1);
-        let u: Vec<f64> = (0..BUCKET * nd).map(|i| (i as f64 * 0.13).sin()).collect();
-        let sources: Vec<usize> = (0..BUCKET).collect();
-        let src = eng.source_spectra(&sources, BUCKET, &u, nd, 1);
-        let mut scratch = eng.new_scratch(BUCKET);
-        scratch.reset(BUCKET);
-        let (k, scale) = table.get(level, offset_slot(offset));
-        g.bench_function(
-            format!("batched_hadamard_bucket{BUCKET}_order{order}"),
-            |b| {
-                b.iter(|| {
-                    for t in 0..BUCKET {
-                        let (sr, si) = src.planes(t);
-                        eng.accumulate(black_box(&mut scratch), t, black_box(k), sr, si, scale);
+        eng.ensure_levels(&[level], 1);
+        let mut all: Vec<[i8; 3]> = Vec::new();
+        for x in -1i8..=1 {
+            for y in -1i8..=1 {
+                for z in -1i8..=1 {
+                    if [x, y, z] != [0, 0, 0] {
+                        all.push([x, y, z]);
                     }
-                })
-            },
-        );
+                }
+            }
+        }
+        for (name, dirs) in [("parent_pair", vec![[1, 0, 0]]), ("sibling_group", all)] {
+            let nsrc = 8 * dirs.len();
+            let u: Vec<f64> = (0..nsrc * nd).map(|i| (i as f64 * 0.13).sin()).collect();
+            let sources: Vec<usize> = (0..nsrc).collect();
+            let src = eng.source_spectra(&sources, nsrc, &u, nd, 1);
+            let mut eb = EdgeBatch::default();
+            eb.clear(level);
+            let pos = |c: usize| [(c >> 2) as i8 & 1, (c >> 1) as i8 & 1, c as i8 & 1];
+            for t in 0..8 {
+                for (di, d) in dirs.iter().enumerate() {
+                    for s in 0..8 {
+                        let off: [i8; 3] =
+                            std::array::from_fn(|a| -2 * d[a] + pos(t)[a] - pos(s)[a]);
+                        if off.iter().any(|o| o.abs() >= 2) {
+                            eb.push_edge(offset_index(off), src.index(8 * di + s));
+                        }
+                    }
+                }
+                eb.end_target(t as u32);
+            }
+            let edges = eb.num_edges();
+            let mut scratch = eng.new_scratch(BATCH_TARGETS);
+            g.bench_function(
+                format!("blocked_hadamard_{name}_{edges}edges_order{order}"),
+                |b| b.iter(|| eng.hadamard_batch(black_box(&eb), black_box(&src), &mut scratch)),
+            );
+        }
     }
 
     // Per-component transforms of the batched path (the pruned small

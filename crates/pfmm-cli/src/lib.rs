@@ -51,7 +51,7 @@ run options:
   --ranks <int>        simulated MPI ranks (default 1)
   --threads <int>      intra-rank threads for the parallel phases (default 1)
   --m2l <fft-batched|dense>  V-list mode (default fft-batched:
-                       lock-free transfer-vector-bucketed half-spectrum
+                       lock-free sibling-blocked half-spectrum
                        Hadamard; dense = per-offset operator matrices,
                        the reference oracle)
   --sort <sample|bitonic>      parallel sort backend (default sample)

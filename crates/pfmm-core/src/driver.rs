@@ -31,10 +31,10 @@ use crate::profile::Profile;
 pub enum M2lMode {
     /// Dense per-offset operator matrices (the reference oracle).
     Dense,
-    /// FFT-diagonalized translation (§IV) with precomputed lock-free
-    /// kernel spectrum tables, transfer-vector-bucketed edges,
-    /// split-complex half spectra, and reusable scratch — the production
-    /// path.
+    /// FFT-diagonalized translation (§IV): one lock-free kernel-spectrum
+    /// table per `Fmm`, a sibling-blocked, frequency-chunked Hadamard
+    /// over split-complex half spectra, and reusable scratch — the
+    /// production path.
     FftBatched,
 }
 
@@ -151,7 +151,9 @@ pub struct PotentialResult {
 ///
 /// `Fmm` is `Sync`: one instance can be shared by all rank threads of an
 /// `mpisim::run` (the operator caches are internally locked and are warm
-/// after the first evaluation).
+/// after the first evaluation). It owns the batched M2L's kernel-spectrum
+/// table, built once on the first workspace that needs it and then read
+/// lock-free by every plan, rank and workspace.
 pub struct Fmm {
     kernel: Arc<dyn Kernel>,
     cfg: FmmConfig,
@@ -188,7 +190,8 @@ impl Fmm {
         &self.ops
     }
 
-    /// The batched lock-free spectral M2L engine.
+    /// The batched lock-free spectral M2L engine, with the shared
+    /// kernel-spectrum table.
     pub fn fft_batched(&self) -> &FftBatchedM2l {
         &self.fftb
     }
@@ -437,6 +440,141 @@ mod tests {
             let pd = &d[&gid];
             for (a, b) in pf.iter().zip(pd) {
                 assert!((a - b).abs() < 1e-8 * b.abs().max(1e-3), "{a} vs {b}");
+            }
+        }
+    }
+
+    /// What the sibling-blocked V-list has to mask on one rank's plan,
+    /// after an apply: `[ghost source parent, source child without upward
+    /// data, local target without a V list, range cut inside a sibling
+    /// group]` at `threads` range cuts.
+    fn vlist_coverage(plan: &crate::plan::FmmPlan, threads: usize) -> [bool; 4] {
+        let (l, lists) = (&plan.l, &plan.lists);
+        let ws = plan.ws.as_ref().expect("applied");
+        let mut seen = [false; 4];
+        let targets: Vec<usize> = (0..l.len())
+            .filter(|&bi| l.local[bi] && !lists.v.row(bi).is_empty())
+            .collect();
+        for bi in 0..l.len() {
+            seen[2] |= l.local[bi] && lists.v.row(bi).is_empty();
+        }
+        for &bi in &targets {
+            for &ai in lists.v.row(bi) {
+                let ai = ai as usize;
+                let q = l.octs[ai].parent().expect("V source has a parent");
+                seen[0] |= l.find(&q).is_none_or(|qi| !l.local[qi]);
+                seen[1] |= !ws.has_up[ai];
+            }
+        }
+        let cuts = crate::par::weighted_cuts(threads, &ws.vli_weights);
+        for &cut in &cuts[1..cuts.len() - 1] {
+            let parent = |bi: usize| l.octs[bi].parent();
+            let before = targets.iter().rev().find(|&&bi| bi < cut);
+            seen[3] |= before.is_some_and(|&b| {
+                targets
+                    .iter()
+                    .any(|&bi| bi >= cut && parent(bi) == parent(b))
+            });
+        }
+        seen
+    }
+
+    /// Adaptive, distributed agreement of the sibling-blocked batched
+    /// path with the dense operators (Stokes, ellipsoid, 2 ranks), at one
+    /// thread and at three range cuts per rank. The geometry is checked to
+    /// exercise every mask of the blocked kernel: ghost source parents,
+    /// source children without upward data, targets without a V list, and
+    /// a range cut through a sibling group.
+    #[test]
+    fn stokes_adaptive_distributed_dense_matches_fft_batched() {
+        let mut pts = ellipsoid_1_1_4(600, 29, 0);
+        randomize_densities(&mut pts, 3, 19);
+        let kernel: Arc<dyn Kernel> = Arc::new(Stokes::default());
+        let base = FmmConfig {
+            order: 4,
+            q: 20,
+            m2l: M2lMode::Dense,
+            ..Default::default()
+        };
+        // The dense oracle is itself thread-count invariant.
+        let dense = run_fmm(kernel.clone(), base, pts.clone(), 2);
+        let dense: std::collections::HashMap<u64, Vec<f64>> = dense.into_iter().collect();
+        let mut covered = [false; 4];
+        for threads in [1usize, 3] {
+            let fmm = Fmm::new(
+                kernel.clone(),
+                FmmConfig {
+                    threads,
+                    m2l: M2lMode::FftBatched,
+                    ..base
+                },
+            );
+            let ranks = run(2, |c| {
+                let mine: Vec<PointRec> = pts.iter().skip(c.rank()).step_by(2).copied().collect();
+                let mut plan = fmm.plan(c, mine);
+                // Generated gids are the point indices.
+                let den: Vec<f64> = plan
+                    .owned_gids()
+                    .iter()
+                    .flat_map(|&g| pts[g as usize].den[..3].to_vec())
+                    .collect();
+                let (pot, _) = fmm.apply(c, &mut plan, &den);
+                let seen = vlist_coverage(&plan, threads);
+                (plan.owned_gids().to_vec(), pot, seen)
+            });
+            let mut n = 0;
+            for (gids, pot, seen) in ranks {
+                for (c, s) in covered.iter_mut().zip(seen) {
+                    *c |= s;
+                }
+                for (gid, pf) in gids.iter().zip(pot.chunks_exact(3)) {
+                    n += 1;
+                    for (a, b) in pf.iter().zip(&dense[gid]) {
+                        assert!(
+                            (a - b).abs() < 1e-8 * b.abs().max(1e-3),
+                            "threads {threads} gid {gid}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(n, pts.len());
+        }
+        assert_eq!(
+            covered, [true; 4],
+            "[ghost parent, masked has_up, no V list, split group]"
+        );
+    }
+
+    /// Potentials are bitwise identical at any thread count: the range
+    /// cuts move with `threads`, the per-target accumulation order does
+    /// not.
+    #[test]
+    fn potentials_bitwise_invariant_in_threads() {
+        let mut lap = uniform_cube(600, 37, 0);
+        randomize_densities(&mut lap, 1, 21);
+        let mut sto = ellipsoid_1_1_4(500, 41, 0);
+        randomize_densities(&mut sto, 3, 23);
+        let cases: [(Arc<dyn Kernel>, Vec<PointRec>, usize); 2] = [
+            (Arc::new(Laplace), lap, 1),
+            (Arc::new(Stokes::default()), sto, 2),
+        ];
+        for (kernel, pts, p) in cases {
+            let bits = |threads: usize| {
+                let cfg = FmmConfig {
+                    order: 4,
+                    q: 25,
+                    threads,
+                    ..Default::default()
+                };
+                let mut gp = run_fmm(kernel.clone(), cfg, pts.clone(), p);
+                gp.sort_by_key(|(g, _)| *g);
+                gp.into_iter()
+                    .flat_map(|(_, v)| v.into_iter().map(f64::to_bits))
+                    .collect::<Vec<u64>>()
+            };
+            let one = bits(1);
+            for threads in [2, 3] {
+                assert!(bits(threads) == one, "{} threads {threads}", kernel.name());
             }
         }
     }

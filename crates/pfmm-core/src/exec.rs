@@ -46,12 +46,11 @@ use crate::driver::{Fmm, M2lMode, Reduction, Schedule};
 use crate::nearfield::NearField;
 use crate::translate::TranslatePlan;
 
-/// Batched-mode pass-1 product: the split-complex source spectra (the
-/// kernel-spectrum table lives in the workspace since it is
-/// density-independent).
+/// Batched-mode pass-1 product: the chunk-major source spectra (the
+/// kernel-spectrum table belongs to the `Fmm`, density-independent).
 type BatchedSpectra = Arc<SourceSpectra>;
 use crate::m2l_batched::{
-    offset_slot, FftBatchedM2l, LendTmp, SourceSpectra, SpectraTable, SpectraTmp,
+    FftBatchedM2l, LendTmp, SiblingIndex, SourceSpectra, SpectraTmp, BATCH_TARGETS,
 };
 use crate::ops::Ops;
 use crate::par::{par_map_n, par_windows, par_windows_weighted, weighted_cuts, SetupPar};
@@ -141,8 +140,8 @@ impl EvalData {
 }
 
 /// Offset of the target `beta` relative to the source `alpha` in units of
-/// the octant side — the argument convention of `Ops::m2l` and
-/// `FftBatchedM2l::build_table` (both build the operator with the source
+/// the octant side — the argument convention of `Ops::m2l` and the
+/// batched kernel spectra (both build the operator with the source
 /// centered at the origin and the target displaced by `offset · 2r`).
 pub(crate) fn offset_of(alpha: &MortonKey, beta: &MortonKey) -> [i8; 3] {
     debug_assert_eq!(alpha.level(), beta.level());
@@ -265,9 +264,9 @@ struct Ctx<'a> {
     /// Tiled near-field layout; `None` only for a kernel without tile
     /// microkernels, which runs the scalar U-list path.
     nf: Option<&'a NearField>,
-    /// Workspace-owned batched-M2L kernel-spectrum table (fft-batched
-    /// mode; a superset of every key an apply can need).
-    btable: Option<&'a SpectraTable>,
+    /// Workspace-owned V list regrouped by target parent (fft-batched
+    /// mode).
+    sib: &'a SiblingIndex,
     /// Tile microkernels for the U-list and the per-box point↔surface
     /// direct evals (S2U check, D2T, W, X); `None` falls back to the
     /// scalar `direct_eval`.
@@ -290,7 +289,7 @@ impl Ctx<'_> {
         lists: &'a Lists,
         data: &'a EvalData,
         nf: Option<&'a NearField>,
-        btable: Option<&'a SpectraTable>,
+        sib: &'a SiblingIndex,
     ) -> Ctx<'a> {
         Ctx {
             kernel: fmm.kernel(),
@@ -301,7 +300,7 @@ impl Ctx<'_> {
             leaf_pos: &data.leaf_pos,
             leaf_den: &data.leaf_den,
             nf,
-            btable,
+            sib,
             tk: fmm.kernel().as_tile_kernel(),
             ulen: fmm.ops().density_len(),
             clen: fmm.ops().check_len(),
@@ -574,8 +573,8 @@ impl Ctx<'_> {
     /// V-list batched pass 1: half-spectrum transform every V-list
     /// source once into the workspace-owned spectra, each worker on
     /// scratch lent by `with_tmp`. The kernel-spectrum table is *not*
-    /// built here — it lives in the workspace (density-independent;
-    /// built once at workspace creation).
+    /// built here — it belongs to the `Fmm` (density-independent; its
+    /// levels are built at workspace creation).
     #[allow(clippy::too_many_arguments)]
     fn vli_batched_spectra_into(
         &self,
@@ -611,78 +610,41 @@ impl Ctx<'_> {
         (out, fl)
     }
 
-    /// V-list batched pass 2: targets are processed in small batches
-    /// whose edges are bucketed by (level, transfer vector); each
-    /// bucket's kernel spectrum is resolved once from the immutable
-    /// table (no lock) and streamed against the bucket's sources into
-    /// reusable scratch accumulators. Per target the buckets arrive in
-    /// ascending slot order — independent of batch and chunk boundaries,
-    /// so both executors accumulate identically.
-    #[allow(clippy::too_many_arguments)]
+    /// V-list batched pass 2: the sibling-blocked Hadamard. The
+    /// targets in `range` are taken from the sibling index in batches of
+    /// up to four same-level parents; each batch runs the chunked kernel
+    /// into reusable scratch accumulators, then each target with at least
+    /// one edge is inverse-transformed into its check potential. A parent
+    /// group split by the range cut contributes only its in-range
+    /// children. Per-target results do not depend on the batching, so both
+    /// executors accumulate identically at any cut.
     fn vli_batched_range(
         &self,
         has_up: &[bool],
-        table: &SpectraTable,
         src: &SourceSpectra,
         range: Range<usize>,
         window: &mut [f64],
         base: usize,
         sc: &mut WorkerScratch,
     ) -> u64 {
-        const BATCH: usize = 32;
-        let (l, fftb, clen) = (self.l, self.fftb, self.clen);
+        let (fftb, clen) = (self.fftb, self.clen);
         let mut fl = 0u64;
-        let WorkerScratch {
-            batch,
-            targets,
-            edges,
-            ..
-        } = sc;
-        let scratch = batch.get_or_insert_with(|| fftb.new_scratch(BATCH));
-        targets.clear();
-        targets.extend(range.filter(|&bi| l.local[bi] && !self.lists.v.row(bi).is_empty()));
-        // (level<<9 | slot, target slot, source octant) per edge.
-        for chunk in targets.chunks(BATCH) {
-            edges.clear();
-            for (t, &bi) in chunk.iter().enumerate() {
-                let beta = l.octs[bi];
-                for &ai in self.lists.v.row(bi) {
-                    let ai = ai as usize;
-                    if !has_up[ai] {
-                        continue;
-                    }
-                    let slot = offset_slot(offset_of(&l.octs[ai], &beta));
-                    edges.push((((beta.level()) << 9) | slot as u32, t as u32, ai as u32));
-                }
-            }
-            if edges.is_empty() {
+        let WorkerScratch { batch, edges, .. } = sc;
+        let scratch = batch.get_or_insert_with(|| fftb.new_scratch(BATCH_TARGETS));
+        let mut cursor = 0;
+        while self.sib.next_batch(&mut cursor, &range, has_up, src, edges) {
+            if edges.targets().is_empty() {
                 continue;
             }
-            edges.sort_unstable();
-            scratch.reset(chunk.len());
-            let mut any = [false; BATCH];
-            let mut i = 0;
-            while i < edges.len() {
-                let key = edges[i].0;
-                let (k, scale) = table.get(key >> 9, (key & 0x1ff) as usize);
-                while i < edges.len() && edges[i].0 == key {
-                    let (_, t, ai) = edges[i];
-                    let (sre, sim) = src.planes(ai as usize);
-                    fftb.accumulate(scratch, t as usize, k, sre, sim, scale);
-                    any[t as usize] = true;
-                    fl += fftb.flops_edge();
-                    i += 1;
-                }
-            }
-            for (t, &bi) in chunk.iter().enumerate() {
-                if any[t] {
-                    fftb.finish(
-                        scratch,
-                        t,
-                        &mut window[bi * clen - base..(bi + 1) * clen - base],
-                    );
-                    fl += fftb.flops_inverse();
-                }
+            fl += fftb.hadamard_batch(edges, src, scratch);
+            for (t, &bi) in edges.targets().iter().enumerate() {
+                let bi = bi as usize;
+                fftb.finish(
+                    scratch,
+                    t,
+                    &mut window[bi * clen - base..(bi + 1) * clen - base],
+                );
+                fl += fftb.flops_inverse();
             }
         }
         fl
@@ -931,7 +893,7 @@ fn run_phases_barrier(
     // written and worker scratch is checked out of the pool.
     let EvalWorkspace {
         ref nf,
-        ref btable,
+        ref sib,
         ref pool,
         ref uli_weights,
         ref vli_weights,
@@ -946,7 +908,7 @@ fn run_phases_barrier(
         ref mut src,
         ..
     } = *ws;
-    let cx = Ctx::new(fmm, l, lists, data, nf.as_ref(), btable.as_ref());
+    let cx = Ctx::new(fmm, l, lists, data, nf.as_ref(), sib);
     let threads = cfg.threads.max(1);
     let noct = l.len();
     let (ulen, clen, td) = (cx.ulen, cx.clen, cx.td);
@@ -1072,9 +1034,6 @@ fn run_phases_barrier(
                 prof.add_flops(Phase::VList, flops);
             }
             M2lMode::FftBatched => {
-                let table = btable
-                    .as_ref()
-                    .expect("spectrum table built at workspace creation");
                 let fl = cx.vli_batched_spectra_into(
                     has_up,
                     u,
@@ -1094,7 +1053,7 @@ fn run_phases_barrier(
                     |range, window, base| {
                         pt.chunk(Phase::VList, || {
                             pool.with(|sc| {
-                                cxr.vli_batched_range(has_up, table, src, range, window, base, sc)
+                                cxr.vli_batched_range(has_up, src, range, window, base, sc)
                             })
                         })
                     },
@@ -1154,7 +1113,7 @@ fn run_phases_graph(
     let cfg = fmm.config();
     let EvalWorkspace {
         ref nf,
-        ref btable,
+        ref sib,
         ref pool,
         ref mut u,
         ref mut has_up,
@@ -1164,7 +1123,7 @@ fn run_phases_graph(
         ref mut f,
         ..
     } = *ws;
-    let cx = Ctx::new(fmm, l, lists, data, nf.as_ref(), btable.as_ref());
+    let cx = Ctx::new(fmm, l, lists, data, nf.as_ref(), sib);
     let workers = cfg.threads.max(1);
     let noct = l.len();
     let (ulen, clen, td) = (cx.ulen, cx.clen, cx.td);
@@ -1345,12 +1304,7 @@ fn run_phases_graph(
                     M2lMode::Dense => cxr.vli_dense_range(hu, u_ro, lo..hi, w, chk_base(lo)),
                     M2lMode::FftBatched => {
                         let b = bsp.with(Arc::clone);
-                        let table = cxr
-                            .btable
-                            .expect("spectrum table built at workspace creation");
-                        pool.with(|sc| {
-                            cxr.vli_batched_range(hu, table, &b, lo..hi, w, chk_base(lo), sc)
-                        })
+                        pool.with(|sc| cxr.vli_batched_range(hu, &b, lo..hi, w, chk_base(lo), sc))
                     }
                 };
                 flr[Phase::VList as usize].fetch_add(fl, Ordering::Relaxed);

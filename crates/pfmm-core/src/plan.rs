@@ -177,7 +177,9 @@ impl FmmPlan {
     /// exchange schedules), computed as element counts × element sizes.
     /// This is what the serve-layer plan cache charges against its byte
     /// budget, so eviction pressure tracks the real footprint of the
-    /// cached geometry.
+    /// cached geometry. The batched M2L's kernel-spectrum table belongs
+    /// to the `Fmm` and is shared by all its plans, so it is not counted
+    /// here (see `FftBatchedM2l::table`).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let sched = |plan: &Vec<(usize, Vec<usize>)>| {

@@ -19,14 +19,17 @@
 //! * the phase accumulators (`u`, `has_up`, `ucheck`, `dcheck`, `d`,
 //!   `f`) that both executors fill — the graph executor temporarily
 //!   moves them into its `GraphBuf`s and restores them afterwards;
-//! * the superset kernel-spectrum table for the batched M2L (every
-//!   (level, transfer-vector) pair present in the V list, enumerated
-//!   once at creation — per-pair spectra are independent of which edges
-//!   use them, so precomputing the superset is bitwise-neutral);
+//! * the V-list `SiblingIndex` (fft-batched mode): the local targets'
+//!   V rows regrouped by target parent, built once at creation from the
+//!   geometry alone. The kernel-spectrum table it is applied with is not
+//!   here: it belongs to the `Fmm` and is shared by every plan, rank and
+//!   workspace; creation only makes sure the levels this LET needs are
+//!   built;
 //! * the lazily built tiled near-field layout, density-refreshed in
 //!   place on later applies;
 //! * a [`ScratchPool`] of per-worker scratch (tile-eval SoA panels,
-//!   GEMM pack panels, FFT work vectors, batched-M2L accumulators)
+//!   GEMM pack panels, FFT work vectors, batched-M2L accumulators and
+//!   edge batches)
 //!   checked out by the chunk kernels of either executor.
 
 use std::sync::{Arc, Mutex};
@@ -36,8 +39,8 @@ use pfmm_metrics::Counter;
 use pfmm_tree::{Let, Lists};
 
 use crate::driver::{Fmm, M2lMode};
-use crate::exec::{offset_of, TileEval};
-use crate::m2l_batched::{offset_slot, BatchScratch, SourceSpectra, SpectraTable, SpectraTmp};
+use crate::exec::TileEval;
+use crate::m2l_batched::{BatchScratch, EdgeBatch, SiblingIndex, SourceSpectra, SpectraTmp};
 use crate::nearfield::NearField;
 use crate::translate::Scratch as TranslateScratch;
 
@@ -56,10 +59,8 @@ pub(crate) struct WorkerScratch {
     pub(crate) batch: Option<BatchScratch>,
     /// Forward-transform staging for the batched-M2L pass 1.
     pub(crate) tmp: SpectraTmp,
-    /// `(level<<9 | slot, target slot, source octant)` per V edge.
-    pub(crate) edges: Vec<(u32, u32, u32)>,
-    /// V-list targets of the current chunk.
-    pub(crate) targets: Vec<usize>,
+    /// Edge lists of the current batched-M2L batch.
+    pub(crate) edges: EdgeBatch,
 }
 
 impl WorkerScratch {
@@ -70,8 +71,7 @@ impl WorkerScratch {
             + self.tsc.memory_bytes()
             + self.batch.as_ref().map_or(0, |b| b.memory_bytes())
             + self.tmp.memory_bytes()
-            + self.edges.capacity() * size_of::<(u32, u32, u32)>()
-            + self.targets.capacity() * size_of::<usize>()
+            + self.edges.memory_bytes()
     }
 }
 
@@ -140,9 +140,9 @@ pub struct EvalWorkspace {
     /// Tiled near-field layout: built on the first apply, then
     /// density-refreshed in place.
     pub(crate) nf: Option<NearField>,
-    /// Batched-M2L kernel-spectrum table over every V-list
-    /// (level, transfer-vector) pair (fft-batched mode only).
-    pub(crate) btable: Option<SpectraTable>,
+    /// V list regrouped by target parent (fft-batched mode; empty under
+    /// dense M2L).
+    pub(crate) sib: SiblingIndex,
     /// Batched-M2L source spectra, rewritten each apply.
     pub(crate) src: SourceSpectra,
     /// V-list source octants of the current apply.
@@ -163,27 +163,14 @@ impl EvalWorkspace {
         let ulen = fmm.ops().density_len();
         let clen = fmm.ops().check_len();
         let td = fmm.kernel().target_dim();
-        let btable = (cfg.m2l == M2lMode::FftBatched).then(|| {
-            // Superset of the evaluation-time key set: every V edge,
-            // ignoring upward occupancy (which is density-dependent).
-            let mut seen = std::collections::HashSet::new();
-            let mut keys: Vec<(u32, [i8; 3])> = Vec::new();
-            for bi in 0..noct {
-                if !l.local[bi] {
-                    continue;
-                }
-                let beta = l.octs[bi];
-                for &ai in lists.v.row(bi) {
-                    let off = offset_of(&l.octs[ai as usize], &beta);
-                    if seen.insert(((beta.level() as u64) << 9) | offset_slot(off) as u64) {
-                        keys.push((beta.level(), off));
-                    }
-                }
-            }
-            keys.sort_unstable();
+        let sib = if cfg.m2l == M2lMode::FftBatched {
+            let sib = SiblingIndex::build(l, lists);
             fmm.fft_batched()
-                .build_table(&keys, fmm.setup_par().threads())
-        });
+                .ensure_levels(sib.levels(), fmm.setup_par().threads());
+            sib
+        } else {
+            SiblingIndex::default()
+        };
         let vli_weights = (0..noct)
             .map(|bi| {
                 if l.local[bi] {
@@ -204,7 +191,7 @@ impl EvalWorkspace {
             uli_weights: Vec::new(),
             vli_weights,
             nf: None,
-            btable,
+            sib,
             src: SourceSpectra::empty(),
             sources: Vec::new(),
             needed: Vec::new(),
@@ -228,7 +215,8 @@ impl EvalWorkspace {
     /// Heap bytes held by the workspace, by allocated capacity (the
     /// scratch buffers warm dynamically, so capacity — what the
     /// allocator actually handed out — is the honest figure). Feeds
-    /// `FmmPlan::memory_bytes` and the serve-layer pool gauge.
+    /// `FmmPlan::memory_bytes` and the serve-layer pool gauge. The
+    /// kernel-spectrum table is the `Fmm`'s and is not counted here.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.u.capacity() + self.ucheck.capacity() + self.dcheck.capacity() + self.d.capacity())
@@ -237,7 +225,7 @@ impl EvalWorkspace {
             + self.has_up.capacity() * size_of::<bool>()
             + (self.uli_weights.capacity() + self.vli_weights.capacity()) * size_of::<u64>()
             + self.nf.as_ref().map_or(0, |n| n.memory_bytes())
-            + self.btable.as_ref().map_or(0, |t| t.memory_bytes())
+            + self.sib.memory_bytes()
             + self.src.memory_bytes()
             + self.sources.capacity() * size_of::<usize>()
             + self.needed.capacity() * size_of::<bool>()

@@ -304,54 +304,14 @@ fn dipole_tiles(t: Tiles<'_>, out: &mut [f64]) {
     }
 }
 
-/// Generate the runtime feature dispatch for one tile body: the same
-/// `#[inline(always)]` body is instantiated once per `#[target_feature]`
-/// set so LLVM vectorizes the Newton chain with FMAs at full register
-/// width, with a portable fallback. The detected tier is fixed per
-/// process, so results stay run-to-run deterministic.
-macro_rules! tile_dispatch {
-    ($entry:ident, $body:ident, $avx2:ident, $avx512:ident $(, $p:ident)*) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn $avx2($($p: f64,)* t: Tiles<'_>, out: &mut [f64]) {
-            $body($($p,)* t, out)
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f,avx2,fma")]
-        unsafe fn $avx512($($p: f64,)* t: Tiles<'_>, out: &mut [f64]) {
-            $body($($p,)* t, out)
-        }
-
-        fn $entry($($p: f64,)* t: Tiles<'_>, out: &mut [f64]) {
-            #[cfg(target_arch = "x86_64")]
-            {
-                let fma = std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma");
-                if fma && std::arch::is_x86_feature_detected!("avx512f") {
-                    // SAFETY: feature presence checked at runtime.
-                    return unsafe { $avx512($($p,)* t, out) };
-                }
-                if fma {
-                    // SAFETY: feature presence checked at runtime.
-                    return unsafe { $avx2($($p,)* t, out) };
-                }
-            }
-            $body($($p,)* t, out)
-        }
-    };
-}
-
-tile_dispatch!(laplace_eval, laplace_tiles, laplace_avx2, laplace_avx512);
-tile_dispatch!(
-    yukawa_eval,
-    yukawa_tiles,
-    yukawa_avx2,
-    yukawa_avx512,
-    lambda
+// One runtime-dispatched entry per tile body (`pfmm_linalg::simd_dispatch!`:
+// AVX-512 → AVX2+FMA → portable, bitwise identical across tiers).
+pfmm_linalg::simd_dispatch!(fn laplace_eval(t: Tiles<'_>, out: &mut [f64]) => laplace_tiles);
+pfmm_linalg::simd_dispatch!(
+    fn yukawa_eval(lambda: f64, t: Tiles<'_>, out: &mut [f64]) => yukawa_tiles
 );
-tile_dispatch!(stokes_eval, stokes_tiles, stokes_avx2, stokes_avx512, c);
-tile_dispatch!(dipole_eval, dipole_tiles, dipole_avx2, dipole_avx512);
+pfmm_linalg::simd_dispatch!(fn stokes_eval(c: f64, t: Tiles<'_>, out: &mut [f64]) => stokes_tiles);
+pfmm_linalg::simd_dispatch!(fn dipole_eval(t: Tiles<'_>, out: &mut [f64]) => dipole_tiles);
 
 impl TileKernel for Laplace {
     fn eval_tiles(&self, t: Tiles<'_>, out: &mut [f64]) {

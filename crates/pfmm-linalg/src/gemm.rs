@@ -175,73 +175,16 @@ fn gemm_panels_body(
     }
 }
 
-/// Runtime feature dispatch mirroring `pfmm-kernels::tile`: the same
-/// `#[inline(always)]` body is instantiated per `#[target_feature]` set so
-/// LLVM widens the NR-lane accumulator chains, with a portable fallback.
-/// The detected tier is fixed per process, and because no tier contracts
-/// mul/add, every tier produces bitwise-identical panels.
-macro_rules! gemm_dispatch {
-    ($entry:ident, $body:ident, $avx2:ident, $avx512:ident) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn $avx2(
-            ap: &[f64],
-            bp: &[f64],
-            nrb: usize,
-            ncb: usize,
-            k: usize,
-            rows_p: usize,
-            out: &mut [f64],
-        ) {
-            $body(ap, bp, nrb, ncb, k, rows_p, out)
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f,avx2,fma")]
-        unsafe fn $avx512(
-            ap: &[f64],
-            bp: &[f64],
-            nrb: usize,
-            ncb: usize,
-            k: usize,
-            rows_p: usize,
-            out: &mut [f64],
-        ) {
-            $body(ap, bp, nrb, ncb, k, rows_p, out)
-        }
-
-        fn $entry(
-            ap: &[f64],
-            bp: &[f64],
-            nrb: usize,
-            ncb: usize,
-            k: usize,
-            rows_p: usize,
-            out: &mut [f64],
-        ) {
-            #[cfg(target_arch = "x86_64")]
-            {
-                let fma = std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma");
-                if fma && std::arch::is_x86_feature_detected!("avx512f") {
-                    // SAFETY: feature presence checked at runtime.
-                    return unsafe { $avx512(ap, bp, nrb, ncb, k, rows_p, out) };
-                }
-                if fma {
-                    // SAFETY: feature presence checked at runtime.
-                    return unsafe { $avx2(ap, bp, nrb, ncb, k, rows_p, out) };
-                }
-            }
-            $body(ap, bp, nrb, ncb, k, rows_p, out)
-        }
-    };
-}
-
-gemm_dispatch!(
-    gemm_panels,
-    gemm_panels_body,
-    gemm_panels_avx2,
-    gemm_panels_avx512
+crate::simd_dispatch!(
+    fn gemm_panels(
+        ap: &[f64],
+        bp: &[f64],
+        nrb: usize,
+        ncb: usize,
+        k: usize,
+        rows_p: usize,
+        out: &mut [f64],
+    ) => gemm_panels_body
 );
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 
 pub mod gemm;
 pub mod matrix;
+pub mod simd;
 pub mod svd;
 
 pub use gemm::{gemm_acc, gemm_acc_scaled, gemm_acc_scaled_with, GemmScratch, GEMM_MR, GEMM_NR};
