@@ -579,6 +579,117 @@ mod tests {
         }
     }
 
+    /// Which W/X pair kinds one rank's plan holds after demotion:
+    /// `[W moved, W kept, X moved, X kept]`. A moved pair is a U entry
+    /// not adjacent to its target leaf β — finer than β if it came from
+    /// W, coarser if from X. Kept pairs count only where a move was
+    /// possible (a leaf W source, an owned-leaf X target), so a kept pair
+    /// is one the size test turned down.
+    fn wx_demotion_mix(plan: &crate::plan::FmmPlan) -> [bool; 4] {
+        let (l, lists) = (&plan.l, &plan.lists);
+        let mut seen = [false; 4];
+        for bi in (0..l.len()).filter(|&bi| l.owned[bi]) {
+            let beta = l.octs[bi];
+            for &ai in lists.u.row(bi) {
+                let alpha = l.octs[ai as usize];
+                if ai as usize != bi && !alpha.is_adjacent(&beta) {
+                    seen[if alpha.level() > beta.level() { 0 } else { 2 }] = true;
+                }
+            }
+            seen[1] |= lists.w.row(bi).iter().any(|&ai| l.is_leaf[ai as usize]);
+            seen[3] |= !lists.x.row(bi).is_empty();
+        }
+        seen
+    }
+
+    /// Small W/X pairs demoted to direct interactions stay exact: on an
+    /// adaptive distributed Stokes tree and a clustered Laplace tree
+    /// holding both moved and kept W and X pairs, the potentials meet the
+    /// direct sum and the dense-M2L oracle at the usual tolerances, and
+    /// stay bitwise invariant in the thread count and the executor.
+    #[test]
+    fn demoted_wx_pairs_stay_exact_and_deterministic() {
+        let mut sto = ellipsoid_1_1_4(1500, 43, 0);
+        randomize_densities(&mut sto, 3, 25);
+        // Half the points in a tight cluster over a uniform background.
+        let mut lap = uniform_cube(1500, 47, 0);
+        for pt in lap.iter_mut().step_by(2) {
+            pt.pos = pt.pos.map(|x| 0.3 + 0.05 * x);
+        }
+        randomize_densities(&mut lap, 1, 27);
+        // (kernel, points, ranks, direct-sum tolerance)
+        type Case = (Arc<dyn Kernel>, Vec<PointRec>, usize, f64);
+        let cases: [Case; 2] = [
+            (Arc::new(Stokes::default()), sto, 2, 5e-3),
+            (Arc::new(Laplace), lap, 1, 1e-3),
+        ];
+        for (kernel, pts, p, tol) in cases {
+            let name = kernel.name();
+            // q above the 56-point order-4 surface, so leaves fall on
+            // both sides of the size test.
+            let base = FmmConfig {
+                order: 4,
+                q: 80,
+                ..Default::default()
+            };
+            // Plan + apply is bitwise the one-shot evaluation.
+            let td = kernel.target_dim();
+            let fmm = Fmm::new(kernel.clone(), base);
+            let ranks = run(p, |c| {
+                let mine: Vec<PointRec> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
+                let mut plan = fmm.plan(c, mine);
+                let den = plan.owned_densities();
+                let (pot, _) = fmm.apply(c, &mut plan, &den);
+                (wx_demotion_mix(&plan), plan.owned_gids().to_vec(), pot)
+            });
+            let mut mix = [false; 4];
+            let mut got = Vec::new();
+            for (m, gids, pot) in ranks {
+                mix = std::array::from_fn(|k| mix[k] | m[k]);
+                got.extend(
+                    gids.into_iter()
+                        .zip(pot.chunks_exact(td).map(<[f64]>::to_vec)),
+                );
+            }
+            assert_eq!(mix, [true; 4], "{name}: [W moved, W kept, X moved, X kept]");
+            let err = rel_error(kernel.as_ref(), &pts, &got);
+            assert!(err < tol, "{name}: relative l2 error {err}");
+            let dense = FmmConfig {
+                m2l: M2lMode::Dense,
+                ..base
+            };
+            let dense: std::collections::HashMap<u64, Vec<f64>> =
+                run_fmm(kernel.clone(), dense, pts.clone(), p)
+                    .into_iter()
+                    .collect();
+            for (gid, pf) in &got {
+                for (a, b) in pf.iter().zip(&dense[gid]) {
+                    assert!(
+                        (a - b).abs() < 1e-8 * b.abs().max(1e-3),
+                        "{name} gid {gid}: {a} vs {b}"
+                    );
+                }
+            }
+
+            let bits = |cfg: FmmConfig| {
+                let mut gp = run_fmm(kernel.clone(), cfg, pts.clone(), p);
+                gp.sort_by_key(|(g, _)| *g);
+                gp.into_iter()
+                    .flat_map(|(_, v)| v.into_iter().map(f64::to_bits))
+                    .collect::<Vec<u64>>()
+            };
+            let one = bits(base);
+            for (threads, schedule) in [(3, Schedule::Barrier), (2, Schedule::Graph)] {
+                let cfg = FmmConfig {
+                    threads,
+                    schedule,
+                    ..base
+                };
+                assert!(bits(cfg) == one, "{name}: {threads} threads, {schedule:?}");
+            }
+        }
+    }
+
     #[test]
     fn laplace_nonuniform_accuracy() {
         let mut pts = ellipsoid_1_1_4(1200, 17, 0);

@@ -8,11 +8,15 @@
 //! pointer walks): leaf points and densities are packed into separate
 //! x/y/z/density *planes* whose per-box source length is padded to
 //! [`LANE`], padding lanes carrying zero density at a far-away sentinel —
-//! exactly the GPU layout's discipline, in f64. The U-list becomes a CSR
-//! over target boxes with each row's entries **sorted by source box id**,
-//! so consecutive target boxes (which share most of their U neighbours)
-//! walk source tiles in the same ascending order and each tile is
-//! resolved once per batch while hot in cache.
+//! exactly the GPU layout's discipline, in f64. The direct rows it
+//! evaluates are the plan's `lists.u`: the U-list proper plus the small
+//! W/X pairs the plan demoted to direct interactions
+//! ([`pfmm_tree::Lists::demote_small_wx`]) — every pair whose sources are
+//! cheaper to evaluate point by point than through a surface. They
+//! become a CSR over target boxes with each row's entries **sorted by
+//! source box id**, so consecutive target boxes (which share most of
+//! their U neighbours) walk source tiles in the same ascending order and
+//! each tile is resolved once per batch while hot in cache.
 //!
 //! Evaluation goes through [`pfmm_kernels::TileKernel::eval_tiles`] —
 //! one virtual call per U-edge, monomorphized branch-free microkernels
@@ -503,7 +507,9 @@ mod tests {
     }
 
     fn check_tiled_matches_scalar(kernel: &dyn Kernel, tol: f64) {
-        let (l, lists) = small_let(700, 12);
+        // Demoted rows hold non-adjacent sources too; both paths see them.
+        let (l, mut lists) = small_let(700, 12);
+        lists.demote_small_wx(&l, 8);
         let sd = kernel.source_dim();
         let td = kernel.target_dim();
         let (leaf_pos, leaf_den) = eval_data(&l, sd);

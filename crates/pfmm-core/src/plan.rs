@@ -11,9 +11,9 @@
 //! region fence — no negotiation round) and reruns the evaluation phases.
 //!
 //! This module holds the only setup pipeline (Morton sort → octree → LET
-//! → lists → optional work-weighted repartition and rebuild → plan
-//! precompute) and the only apply body; the one-shot [`Fmm::evaluate`]
-//! is a plan followed by one apply.
+//! → lists → optional work-weighted repartition and rebuild → small W/X
+//! pairs demoted to direct → plan precompute) and the only apply body;
+//! the one-shot [`Fmm::evaluate`] is a plan followed by one apply.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -260,7 +260,7 @@ impl Fmm {
         stage("Sort", &mut setup.sort_secs);
         let mut tree = octree_from_sorted_with(c, sorted, region, self.config().q, par);
         let mut rebalance = self.config().balance && c.size() > 1;
-        let (l, lists) = loop {
+        let (l, mut lists) = loop {
             let l = build_let_with(c, &tree, par);
             stage("Setup:Tree", &mut setup.tree_secs);
             let lists = build_lists_with(&l, par);
@@ -272,6 +272,9 @@ impl Fmm {
             tree = repartition_by_weight(c, tree, &leaf_weights(&l, &lists));
         };
         drop(tree);
+        // Small W/X pairs run as direct interactions; decided after the
+        // final repartition, whose weights price the lists as built.
+        lists.demote_small_wx(&l, self.ops().n_surf());
         let data = EvalData::new_with(&l, sd, par);
         self.ops().warm(data.max_level, par);
         let ws = eager_ws.then(|| EvalWorkspace::new(self, &l, &lists, uid));

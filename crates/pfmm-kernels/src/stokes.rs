@@ -52,9 +52,15 @@ impl Kernel for Stokes {
     }
 
     fn flops_per_pair(&self) -> u64 {
-        // 3 diffs, r² (5), rsqrt + r³ (≈6), 9 tensor entries ≈ 3 flops each,
-        // 9 multiply-accumulates against the density: ≈ 50.
-        50
+        // The operations one lane of the tile body (`tile::stokes_tiles`)
+        // writes, the integer seed of the reciprocal root not counted:
+        // 3 diffs; r² = 3 mul + 2 add (5); the guarded 1/r = four Newton
+        // steps of 5 flops plus 1/r², g − g, the add and the max (24);
+        // r³ = inv·inv·inv (2); f·r scaled by r³ = 3 mul + 2 add + 1 mul
+        // (6); and per component `a += f·inv + d·fdr` = 2 mul + 2 add
+        // (3 × 4 = 12). Total 3 + 5 + 24 + 2 + 6 + 12 = 52. The surface
+        // paths (W/X/D2T) run the same body.
+        52
     }
 
     fn name(&self) -> &'static str {

@@ -120,6 +120,11 @@ fn inv_r_guarded(r2: f64) -> f64 {
 /// bitwise identical to the unblocked loop.
 const TB: usize = 4;
 
+// Every tile body walks its coordinate and density planes through
+// `chunks_exact(LANE)` zips, never through computed offsets like
+// `den[k * LANE + l]`: the bounds checks on a computed index stay in the
+// inner loop and keep LLVM from vectorizing it.
+
 /// `K(x,y) = 1/(4π r)`, scalar density.
 #[inline(always)]
 fn laplace_tiles(t: Tiles<'_>, out: &mut [f64]) {
@@ -203,24 +208,26 @@ fn yukawa_tiles(lambda: f64, t: Tiles<'_>, out: &mut [f64]) {
 }
 
 /// Stokeslet: `u_i += c (f_i/r + r_i (f·r)/r³)`, 3-vector density and
-/// potential, `c = 1/(8πμ)`.
+/// potential, `c = 1/(8πμ)`. One target at a time: each lane already
+/// carries ~50 independent flops, and blocking [`TB`] targets the way
+/// [`laplace_tiles`] does measured no faster (DESIGN §9).
 #[inline(always)]
 fn stokes_tiles(c: f64, t: Tiles<'_>, out: &mut [f64]) {
     let ns = t.sx.len();
     let (fx, rest) = t.den.split_at(ns);
     let (fy, fz) = rest.split_at(ns);
-    for (i, o) in out.chunks_exact_mut(3).enumerate() {
-        let (x, y, z) = (t.tx[i], t.ty[i], t.tz[i]);
+    for (((o, &x), &y), &z) in out.chunks_exact_mut(3).zip(t.tx).zip(t.ty).zip(t.tz) {
         let mut ax = [0.0f64; LANE];
         let mut ay = [0.0f64; LANE];
         let mut az = [0.0f64; LANE];
-        for (k, ((cx, cy), cz)) in
+        for (((((cx, cy), cz), gx), gy), gz) in
             t.sx.chunks_exact(LANE)
                 .zip(t.sy.chunks_exact(LANE))
                 .zip(t.sz.chunks_exact(LANE))
-                .enumerate()
+                .zip(fx.chunks_exact(LANE))
+                .zip(fy.chunks_exact(LANE))
+                .zip(fz.chunks_exact(LANE))
         {
-            let b = k * LANE;
             for l in 0..LANE {
                 let dx = x - cx[l];
                 let dy = y - cy[l];
@@ -228,11 +235,10 @@ fn stokes_tiles(c: f64, t: Tiles<'_>, out: &mut [f64]) {
                 let r2 = dx * dx + dy * dy + dz * dz;
                 let inv = inv_r_guarded(r2);
                 let r3 = inv * inv * inv;
-                let (gx, gy, gz) = (fx[b + l], fy[b + l], fz[b + l]);
-                let fdr = (gx * dx + gy * dy + gz * dz) * r3;
-                ax[l] += gx * inv + dx * fdr;
-                ay[l] += gy * inv + dy * fdr;
-                az[l] += gz * inv + dz * fdr;
+                let fdr = (gx[l] * dx + gy[l] * dy + gz[l] * dz) * r3;
+                ax[l] += gx[l] * inv + dx * fdr;
+                ay[l] += gy[l] * inv + dy * fdr;
+                az[l] += gz[l] * inv + dz * fdr;
             }
         }
         o[0] += ax.iter().sum::<f64>() * c;
@@ -242,65 +248,53 @@ fn stokes_tiles(c: f64, t: Tiles<'_>, out: &mut [f64]) {
 }
 
 /// Laplace dipole: `pot += (r·d)/(4π r³)`, 3-vector moment density,
-/// scalar potential. Register-blocked like [`laplace_tiles`] (one
-/// accumulator plane per target, FMA-bound body).
+/// scalar potential. Register-blocked like [`laplace_tiles`], the ragged
+/// tail one target at a time through the same body.
 #[inline(always)]
 fn dipole_tiles(t: Tiles<'_>, out: &mut [f64]) {
-    let ns = t.sx.len();
-    let (mx, rest) = t.den.split_at(ns);
-    let (my, mz) = rest.split_at(ns);
     let nt = out.len();
     let mut i = 0;
     while i + TB <= nt {
-        let xs: [f64; TB] = t.tx[i..i + TB].try_into().expect("TB targets");
-        let ys: [f64; TB] = t.ty[i..i + TB].try_into().expect("TB targets");
-        let zs: [f64; TB] = t.tz[i..i + TB].try_into().expect("TB targets");
-        let mut acc = [[0.0f64; LANE]; TB];
-        for (k, ((cx, cy), cz)) in
-            t.sx.chunks_exact(LANE)
-                .zip(t.sy.chunks_exact(LANE))
-                .zip(t.sz.chunks_exact(LANE))
-                .enumerate()
-        {
-            let b = k * LANE;
-            for u in 0..TB {
-                for l in 0..LANE {
-                    let dx = xs[u] - cx[l];
-                    let dy = ys[u] - cy[l];
-                    let dz = zs[u] - cz[l];
-                    let r2 = dx * dx + dy * dy + dz * dz;
-                    let inv = inv_r_guarded(r2);
-                    let r3 = inv * inv * inv;
-                    acc[u][l] += (dx * mx[b + l] + dy * my[b + l] + dz * mz[b + l]) * r3;
-                }
-            }
-        }
-        for u in 0..TB {
-            out[i + u] += acc[u].iter().sum::<f64>() * INV_4PI;
-        }
+        dipole_block::<TB>(&t, i, out);
         i += TB;
     }
-    for (o, i) in out[i..].iter_mut().zip(i..nt) {
-        let (x, y, z) = (t.tx[i], t.ty[i], t.tz[i]);
-        let mut acc = [0.0f64; LANE];
-        for (k, ((cx, cy), cz)) in
-            t.sx.chunks_exact(LANE)
-                .zip(t.sy.chunks_exact(LANE))
-                .zip(t.sz.chunks_exact(LANE))
-                .enumerate()
-        {
-            let b = k * LANE;
+    for i in i..nt {
+        dipole_block::<1>(&t, i, out);
+    }
+}
+
+/// Targets `i..i + B` of [`dipole_tiles`].
+#[inline(always)]
+fn dipole_block<const B: usize>(t: &Tiles<'_>, i: usize, out: &mut [f64]) {
+    let ns = t.sx.len();
+    let (mx, rest) = t.den.split_at(ns);
+    let (my, mz) = rest.split_at(ns);
+    let xs: [f64; B] = t.tx[i..i + B].try_into().expect("B targets");
+    let ys: [f64; B] = t.ty[i..i + B].try_into().expect("B targets");
+    let zs: [f64; B] = t.tz[i..i + B].try_into().expect("B targets");
+    let mut acc = [[0.0f64; LANE]; B];
+    for (((((cx, cy), cz), gx), gy), gz) in
+        t.sx.chunks_exact(LANE)
+            .zip(t.sy.chunks_exact(LANE))
+            .zip(t.sz.chunks_exact(LANE))
+            .zip(mx.chunks_exact(LANE))
+            .zip(my.chunks_exact(LANE))
+            .zip(mz.chunks_exact(LANE))
+    {
+        for u in 0..B {
             for l in 0..LANE {
-                let dx = x - cx[l];
-                let dy = y - cy[l];
-                let dz = z - cz[l];
+                let dx = xs[u] - cx[l];
+                let dy = ys[u] - cy[l];
+                let dz = zs[u] - cz[l];
                 let r2 = dx * dx + dy * dy + dz * dz;
                 let inv = inv_r_guarded(r2);
                 let r3 = inv * inv * inv;
-                acc[l] += (dx * mx[b + l] + dy * my[b + l] + dz * mz[b + l]) * r3;
+                acc[u][l] += (dx * gx[l] + dy * gy[l] + dz * gz[l]) * r3;
             }
         }
-        *o += acc.iter().sum::<f64>() * INV_4PI;
+    }
+    for u in 0..B {
+        out[i + u] += acc[u].iter().sum::<f64>() * INV_4PI;
     }
 }
 
@@ -547,6 +541,85 @@ mod tests {
             out[0]
         };
         assert_eq!(eval_split().to_bits(), eval_split().to_bits());
+    }
+
+    /// The Stokes and dipole tile bodies against per-target reference
+    /// loops — plain indices, each lane accumulator fed in source order —
+    /// compared bit for bit: neither the plane zips nor the dipole's
+    /// register blocking may change any target's accumulation order.
+    #[test]
+    fn tile_bodies_match_per_target_reference_bitwise() {
+        // 11 targets: two dipole TB blocks plus a ragged tail of 3; 21 sources
+        // padded to 24 lanes; target 5 coincides with source 9.
+        let mut st = 3u64;
+        let mut tgts: Vec<Point3> = (0..11)
+            .map(|_| [lcg(&mut st), lcg(&mut st), lcg(&mut st)])
+            .collect();
+        let srcs: Vec<Point3> = (0..21)
+            .map(|_| [lcg(&mut st), lcg(&mut st), lcg(&mut st)])
+            .collect();
+        tgts[5] = srcs[9];
+        let den: Vec<f64> = (0..srcs.len() * 3).map(|_| lcg(&mut st) - 0.5).collect();
+        let (sx, sy, sz, d) = pack(&srcs, &den, 3);
+        assert!(sx.len() > srcs.len() && !tgts.len().is_multiple_of(TB));
+        let tx: Vec<f64> = tgts.iter().map(|p| p[0]).collect();
+        let ty: Vec<f64> = tgts.iter().map(|p| p[1]).collect();
+        let tz: Vec<f64> = tgts.iter().map(|p| p[2]).collect();
+        let t = Tiles {
+            tx: &tx,
+            ty: &ty,
+            tz: &tz,
+            sx: &sx,
+            sy: &sy,
+            sz: &sz,
+            den: &d,
+        };
+        let ns = sx.len();
+        let geom = |i: usize, j: usize| {
+            let (dx, dy, dz) = (tx[i] - sx[j], ty[i] - sy[j], tz[i] - sz[j]);
+            let inv = inv_r_guarded(dx * dx + dy * dy + dz * dz);
+            ([dx, dy, dz], inv, inv * inv * inv)
+        };
+        let g = |j: usize| [d[j], d[ns + j], d[2 * ns + j]];
+
+        let stokes = Stokes { mu: 0.7 };
+        let c = 1.0 / (8.0 * std::f64::consts::PI * stokes.mu);
+        let mut want = vec![0.0; 3 * tgts.len()];
+        for i in 0..tgts.len() {
+            let mut a = [[0.0f64; LANE]; 3];
+            for j in 0..ns {
+                let ([dx, dy, dz], inv, r3) = geom(i, j);
+                let [gx, gy, gz] = g(j);
+                let fdr = (gx * dx + gy * dy + gz * dz) * r3;
+                a[0][j % LANE] += gx * inv + dx * fdr;
+                a[1][j % LANE] += gy * inv + dy * fdr;
+                a[2][j % LANE] += gz * inv + dz * fdr;
+            }
+            for (o, ac) in want[3 * i..3 * i + 3].iter_mut().zip(&a) {
+                *o += ac.iter().sum::<f64>() * c;
+            }
+        }
+        let mut got = vec![0.0; 3 * tgts.len()];
+        stokes.eval_tiles(t, &mut got);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "stokes: {g} vs {w}");
+        }
+
+        let mut want = vec![0.0; tgts.len()];
+        for (i, o) in want.iter_mut().enumerate() {
+            let mut a = [0.0f64; LANE];
+            for j in 0..ns {
+                let ([dx, dy, dz], _, r3) = geom(i, j);
+                let [gx, gy, gz] = g(j);
+                a[j % LANE] += (dx * gx + dy * gy + dz * gz) * r3;
+            }
+            *o += a.iter().sum::<f64>() * INV_4PI;
+        }
+        let mut got = vec![0.0; tgts.len()];
+        LaplaceDipole.eval_tiles(t, &mut got);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "dipole: {g} vs {w}");
+        }
     }
 
     #[test]

@@ -73,6 +73,21 @@ impl Csr {
     pub fn memory_bytes(&self) -> usize {
         (self.off.len() + self.items.len()) * std::mem::size_of::<u32>()
     }
+
+    /// An empty CSR with room for `rows` rows and `items` items.
+    fn with_capacity(rows: usize, items: usize) -> Csr {
+        let mut off = Vec::with_capacity(rows + 1);
+        off.push(0);
+        Csr {
+            off,
+            items: Vec::with_capacity(items),
+        }
+    }
+
+    /// Close the row holding every item pushed since the previous one.
+    fn end_row(&mut self) {
+        self.off.push(self.items.len() as u32);
+    }
 }
 
 /// The four interaction lists, rows aligned with `Let::octs`.
@@ -81,7 +96,8 @@ impl Csr {
 /// owned leaves); other rows are empty.
 #[derive(Clone, Debug)]
 pub struct Lists {
-    /// Direct-interaction sources (includes β itself).
+    /// Direct-interaction sources (includes β itself), sorted; after
+    /// [`Lists::demote_small_wx`] also the W/X sources it moved here.
     pub u: Csr,
     /// Multipole-to-local sources.
     pub v: Csr,
@@ -104,6 +120,92 @@ impl Lists {
             + self.w.memory_bytes()
             + self.x.memory_bytes()
     }
+
+    /// Move every W/X pair that costs fewer kernel evaluations directly
+    /// than through an `n_surf`-point surface into the direct rows — the
+    /// standard KIFMM shortcut:
+    ///
+    /// - a W pair (β, α) moves when α is a leaf with fewer than `n_surf`
+    ///   points: α's sources act on β's targets instead of its upward
+    ///   equivalent surface;
+    /// - an X pair (β, α) moves when β is an owned leaf with fewer than
+    ///   `n_surf` points: α's sources act on β's targets instead of its
+    ///   downward check surface.
+    ///
+    /// A moved pair becomes an exact direct interaction, so the move
+    /// drops an approximation and adds none, and every LET leaf carries
+    /// its points, so no new communication is needed. The two rules are
+    /// duals: a W pair (β, α) moves exactly when the mirror X pair (α, β),
+    /// held by α's owner, does. U rows stay sorted, and a moved pair never
+    /// duplicates a U entry (each leaf pair is coupled once, see Table I).
+    /// One O(U + W + X) pass; returns the number of moved W and X pairs.
+    pub fn demote_small_wx(&mut self, l: &Let, n_surf: usize) -> (usize, usize) {
+        if self.w.total() + self.x.total() == 0 {
+            // Uniform trees: nothing to move, so leave the CSRs as built.
+            return (0, 0);
+        }
+        let small = |i: usize| l.points_of(i).len() < n_surf;
+        let n = self.u.rows();
+        let (nu, nw, nx) = (self.u.total(), self.w.total(), self.x.total());
+        let mut u = Csr::with_capacity(n, nu + nw + nx);
+        let mut w = Csr::with_capacity(n, nw);
+        let mut x = Csr::with_capacity(n, nx);
+        let (mut moved_w, mut moved) = (Vec::new(), Vec::new());
+        let mut counts = (0, 0);
+        for bi in 0..n {
+            moved_w.clear();
+            for &ai in self.w.row(bi) {
+                if l.is_leaf[ai as usize] && small(ai as usize) {
+                    moved_w.push(ai);
+                } else {
+                    w.items.push(ai);
+                }
+            }
+            let xs = self.x.row(bi);
+            let moved_x = if l.owned[bi] && small(bi) {
+                xs
+            } else {
+                x.items.extend_from_slice(xs);
+                &[]
+            };
+            counts.0 += moved_w.len();
+            counts.1 += moved_x.len();
+            moved.clear();
+            merge_sorted(&mut moved, &moved_w, moved_x);
+            let start = u.items.len();
+            merge_sorted(&mut u.items, self.u.row(bi), &moved);
+            debug_assert!(
+                u.items[start..].windows(2).all(|p| p[0] < p[1]),
+                "moved pair already in U"
+            );
+            u.end_row();
+            w.end_row();
+            x.end_row();
+        }
+        for csr in [&mut u, &mut w, &mut x] {
+            // Exact capacities keep `memory_bytes` equal to the heap the
+            // plan holds.
+            csr.items.shrink_to_fit();
+        }
+        (self.u, self.w, self.x) = (u, w, x);
+        counts
+    }
+}
+
+/// Append the merge of two ascending rows to `out`. The select is
+/// branch-free: the rows interleave unpredictably, and a mispredicted
+/// branch per item would cost more than the rest of
+/// [`Lists::demote_small_wx`].
+fn merge_sorted(out: &mut Vec<u32>, a: &[u32], b: &[u32]) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let take_a = a[i] < b[j];
+        out.push(if take_a { a[i] } else { b[j] });
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// Minimum level present in the LET (bounds the X-list ancestor walk).
@@ -477,7 +579,9 @@ fn x_list(l: &Let, sc: &Scaffold, bi: usize, lmin: u32) -> Vec<u32> {
 /// U-list pair counts plus weighted list degrees for the translation work.
 ///
 /// Rows of `weights` align with `Let::owned_indices()` (i.e. with the
-/// owning `DistTree::leaves`).
+/// owning `DistTree::leaves`). The balancer prices the lists as built,
+/// before [`Lists::demote_small_wx`], so `C_WX` overcharges the pairs
+/// that are later evaluated directly.
 pub fn leaf_weights(l: &Let, lists: &Lists) -> Vec<f64> {
     // Relative per-item costs, calibrated loosely against the paper's
     // per-phase flop shares (Table II): direct pairs dominate, V-list
@@ -816,6 +920,66 @@ mod tests {
                     assert_eq!(par.x.row(bi), serial.x.row(bi), "X row {bi} t={t}");
                 }
             }
+        }
+    }
+
+    /// Demotion conserves pairs: every W/X pair is kept or moved exactly
+    /// once, moves exactly the pairs the size test selects, never
+    /// duplicates a U entry, and leaves every row sorted — on each rank
+    /// of a distributed adaptive tree, ghosts included.
+    #[test]
+    fn demotion_moves_each_small_pair_exactly_once() {
+        let (q, n_surf) = (12, 8);
+        let outs = run(2, |c| {
+            let mine: Vec<PointRec> = ellipsoid_points(1200, 13)
+                .into_iter()
+                .skip(c.rank())
+                .step_by(2)
+                .collect();
+            let l = crate::lett::build_let(c, &points_to_octree(c, mine, q));
+            let before = build_lists(&l);
+            let mut after = before.clone();
+            let moved = after.demote_small_wx(&l, n_surf);
+            let small = |i: usize| l.is_leaf[i] && l.points_of(i).len() < n_surf;
+            let sorted = |r: &[u32]| r.windows(2).all(|p| p[0] < p[1]);
+            let mut mix = [0usize; 4];
+            for bi in 0..l.len() {
+                let (u0, u1) = (before.u.row(bi), after.u.row(bi));
+                let (w1, x1) = (after.w.row(bi), after.x.row(bi));
+                assert!(sorted(u1) && sorted(w1) && sorted(x1), "row {bi} sorted");
+                assert_eq!(after.v.row(bi), before.v.row(bi));
+                let mut want_u = u0.to_vec();
+                for &ai in before.w.row(bi) {
+                    let go = small(ai as usize);
+                    assert!(!u0.contains(&ai), "W pair already direct");
+                    assert_eq!(u1.contains(&ai), go, "W ({bi}, {ai}) moved iff small");
+                    assert_eq!(w1.contains(&ai), !go, "W ({bi}, {ai}) kept iff not");
+                    mix[usize::from(!go)] += 1;
+                    want_u.extend(go.then_some(ai));
+                }
+                let go = l.owned[bi] && small(bi);
+                for &ai in before.x.row(bi) {
+                    assert!(!u0.contains(&ai), "X pair already direct");
+                    assert_eq!(u1.contains(&ai), go, "X ({bi}, {ai}) moved iff small");
+                    assert_eq!(x1.contains(&ai), !go, "X ({bi}, {ai}) kept iff not");
+                    if l.owned[bi] {
+                        mix[2 + usize::from(!go)] += 1;
+                    }
+                    want_u.extend(go.then_some(ai));
+                }
+                want_u.sort_unstable();
+                assert_eq!(u1, want_u.as_slice(), "U row {bi} = U ∪ moved W ∪ moved X");
+            }
+            assert_eq!(after.w.total() + moved.0, before.w.total());
+            assert_eq!(after.x.total() + moved.1, before.x.total());
+            assert_eq!(after.u.total(), before.u.total() + moved.0 + moved.1);
+            mix
+        });
+        for mix in outs {
+            assert!(
+                mix.iter().all(|&k| k > 0),
+                "[W moved, W kept, X moved, X kept] = {mix:?}"
+            );
         }
     }
 
