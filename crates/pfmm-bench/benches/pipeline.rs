@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pfmm_core::distrib::{randomize_densities, uniform_cube};
-use pfmm_core::{Fmm, FmmConfig, Schedule};
+use pfmm_core::{Fmm, FmmConfig};
 use pfmm_kernels::{direct_eval, Laplace};
 use pfmm_mpisim::run;
 use std::hint::black_box;
@@ -44,28 +44,6 @@ fn bench_pipeline(c: &mut Criterion) {
             run(4, |comm| {
                 let mine: Vec<_> = pts.iter().skip(comm.rank()).step_by(4).copied().collect();
                 black_box(fmm.evaluate(comm, mine)).gids.len()
-            })
-        })
-    });
-
-    // The same distributed run under the dependency-graph scheduler:
-    // the reduce-and-scatter overlaps the U/X chunks instead of
-    // barriering every rank (compare against fmm_laplace_10k_p4).
-    let graph_fmm = Fmm::new(
-        Arc::new(Laplace),
-        FmmConfig {
-            order: 4,
-            q: 60,
-            schedule: Schedule::Graph,
-            ..Default::default()
-        },
-    );
-    run(1, |comm| graph_fmm.evaluate(comm, pts.clone()).gids.len());
-    g.bench_function("fmm_laplace_10k_p4_graph", |b| {
-        b.iter(|| {
-            run(4, |comm| {
-                let mine: Vec<_> = pts.iter().skip(comm.rank()).step_by(4).copied().collect();
-                black_box(graph_fmm.evaluate(comm, mine)).gids.len()
             })
         })
     });

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use pfmm_bench::{run_case, Distribution};
 use pfmm_core::profile::Phase;
-use pfmm_core::{FmmConfig, Schedule};
+use pfmm_core::FmmConfig;
 use pfmm_kernels::Laplace;
 use pfmm_metrics::Sampler;
 
@@ -31,7 +31,6 @@ fn one_eval(n: usize) -> pfmm_bench::RunSummary {
         order: 4,
         q: 60,
         threads: 2,
-        schedule: Schedule::Graph,
         ..Default::default()
     };
     run_case(Arc::new(Laplace), cfg, Distribution::Uniform, n, P, 31)
@@ -56,7 +55,7 @@ fn main() {
         .map(|a| a.parse().expect("sampler_ms must be an integer"))
         .unwrap_or(10);
     println!(
-        "Metrics overhead: N = {n}, p = {P}, graph schedule, {sampler_ms} ms sampler, \
+        "Metrics overhead: N = {n}, p = {P}, {sampler_ms} ms sampler, \
          min of {runs} interleaved runs, budget {budget_pct}%\n"
     );
 

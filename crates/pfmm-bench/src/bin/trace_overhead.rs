@@ -2,7 +2,7 @@
 //!
 //! DESIGN.md §10 promises the span hooks are free when disabled and
 //! cheap at phase granularity; this harness measures it. It runs the
-//! same graph-scheduled evaluation three ways — tracer off, phase-level
+//! same evaluation three ways — tracer off, phase-level
 //! spans, and full comm-level recording — interleaved round-robin after
 //! a warm-up pass (so allocator/page-cache effects and host drift hit
 //! all three levels alike), taking the minimum busiest-rank evaluation
@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use pfmm_bench::{run_case_traced, Distribution};
-use pfmm_core::{FmmConfig, Schedule};
+use pfmm_core::FmmConfig;
 use pfmm_kernels::Laplace;
 use pfmm_trace::{TraceLevel, Tracer};
 
@@ -30,7 +30,6 @@ fn one_eval(n: usize, level: TraceLevel) -> (f64, usize) {
         order: 4,
         q: 60,
         threads: 2,
-        schedule: Schedule::Graph,
         ..Default::default()
     };
     let tracer = Arc::new(Tracer::new(level));
@@ -61,7 +60,7 @@ fn main() {
         .map(|a| a.parse().expect("budget_pct must be a number"))
         .unwrap_or(2.0);
     println!(
-        "Trace overhead: N = {n}, p = {P}, graph schedule, min of {runs} \
+        "Trace overhead: N = {n}, p = {P}, min of {runs} \
          interleaved runs, budget {budget_pct}%\n"
     );
 

@@ -86,10 +86,9 @@ mod tests {
 
     #[test]
     fn parses_equals_spelling() {
-        let a =
-            parse(&["run", "--n=1000", "--schedule=graph", "--kernel", "stokes"]).expect("parses");
+        let a = parse(&["run", "--n=1000", "--m2l=dense", "--kernel", "stokes"]).expect("parses");
         assert_eq!(a.get_or("n", 0usize).expect("number"), 1000);
-        assert_eq!(a.get("schedule"), Some("graph"));
+        assert_eq!(a.get("m2l"), Some("dense"));
         assert_eq!(a.get("kernel"), Some("stokes"));
     }
 

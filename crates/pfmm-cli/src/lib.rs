@@ -27,7 +27,7 @@ use pfmm_core::driver::gather_potentials;
 use pfmm_core::profile::{Phase, ProfileSummary};
 use pfmm_core::tune::tune_sweep;
 use pfmm_core::verify::sampled_rel_error;
-use pfmm_core::{Fmm, FmmConfig, M2lMode, Reduction, Schedule, SortKind};
+use pfmm_core::{Fmm, FmmConfig, M2lMode, Reduction, SortKind};
 use pfmm_gpusim::{run_gpu_fmm, run_gpu_fmm_wx, DeviceSpec, GpuPhase};
 use pfmm_kernels::{Kernel, Laplace, LaplaceDipole, Stokes, Yukawa};
 use pfmm_metrics::{FlightConfig, Sampler, SloConfig};
@@ -55,10 +55,8 @@ run options:
                        Hadamard; dense = per-offset operator matrices,
                        the reference oracle)
   --sort <sample|bitonic>      parallel sort backend (default sample)
-  --reduction <auto|hypercube|naive>  up-density reduction (default auto)
-  --schedule <barrier|graph>   phase executor: bulk-synchronous barriers
-                       or the dependency-graph scheduler with
-                       comm/compute overlap (default barrier)
+  --reduction <auto|hypercube|naive>  up-density reduction (default auto;
+                       hypercube needs a power-of-two --ranks)
   --balance <true|false>       work-weighted repartition (default true)
   --check <int>        verify every k-th point against the direct sum
                        (0 = skip; default 0)
@@ -149,7 +147,6 @@ const CONFIG_FLAGS: &[&str] = &[
     "m2l",
     "sort",
     "reduction",
-    "schedule",
     "balance",
     "threads",
 ];
@@ -194,7 +191,6 @@ const COMMANDS: &[CommandSpec] = &[
             "kernel",
             "order",
             "q",
-            "schedule",
             "seed",
             "n",
             "requests",
@@ -333,11 +329,6 @@ fn config_of(args: &Args) -> Result<FmmConfig, String> {
             "naive" => Reduction::Naive,
             other => return Err(format!("unknown reduction '{other}'")),
         },
-        schedule: match args.get("schedule").unwrap_or("barrier") {
-            "barrier" => Schedule::Barrier,
-            "graph" => Schedule::Graph,
-            other => return Err(format!("unknown schedule '{other}'")),
-        },
         threads: args.get_or("threads", 1)?,
         sort: match args.get("sort").unwrap_or("sample") {
             "sample" => SortKind::Sample,
@@ -453,10 +444,22 @@ impl MetricsOpts {
     }
 }
 
+/// `--ranks`, rejecting a forced hypercube reduction the rank count
+/// cannot run (Algorithm 3 needs a power-of-two communicator).
+fn ranks_of(args: &Args, default: usize, cfg: &FmmConfig) -> Result<usize, String> {
+    let ranks: usize = args.get_or("ranks", default)?;
+    if cfg.reduction == Reduction::Hypercube && !ranks.is_power_of_two() {
+        return Err(format!(
+            "--reduction=hypercube needs a power-of-two --ranks, got {ranks}"
+        ));
+    }
+    Ok(ranks)
+}
+
 fn cmd_run(args: &Args) -> Result<(), String> {
     let kernel = kernel_of(args)?;
     let cfg = config_of(args)?;
-    let ranks: usize = args.get_or("ranks", 1)?;
+    let ranks = ranks_of(args, 1, &cfg)?;
     let check: usize = args.get_or("check", 0)?;
     let (tracer, trace_path) = tracer_of(args)?;
     let metrics = metrics_of(args)?;
@@ -604,7 +607,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         return Err("solve needs a square kernel (laplace/stokes/yukawa)".into());
     }
     let cfg = config_of(args)?;
-    let ranks: usize = args.get_or("ranks", 2)?;
+    let ranks = ranks_of(args, 2, &cfg)?;
     let pts = points_of(args, kernel.source_dim())?;
     let n = pts.len();
     let scale: f64 = args.get_or("scale", 1.0 / n as f64)?;
@@ -647,11 +650,6 @@ fn cmd_serve_sim(args: &Args) -> Result<(), String> {
     let cfg = FmmConfig {
         order: args.get_or("order", 4)?,
         q: args.get_or("q", 60)?,
-        schedule: match args.get("schedule").unwrap_or("barrier") {
-            "barrier" => Schedule::Barrier,
-            "graph" => Schedule::Graph,
-            other => return Err(format!("unknown schedule '{other}'")),
-        },
         ..Default::default()
     };
     let arrival = match args.get("arrival").unwrap_or("closed") {
@@ -845,7 +843,6 @@ mod tests {
             "bitonic",
             "--reduction",
             "naive",
-            "--schedule=graph",
             "--threads",
             "3",
             "--balance",
@@ -857,7 +854,6 @@ mod tests {
         assert_eq!(cfg.m2l, M2lMode::Dense);
         assert_eq!(cfg.sort, SortKind::Bitonic);
         assert_eq!(cfg.reduction, Reduction::Naive);
-        assert_eq!(cfg.schedule, Schedule::Graph);
         assert_eq!(cfg.threads, 3);
         assert!(!cfg.balance);
     }
@@ -905,21 +901,22 @@ mod tests {
         .expect("run succeeds");
     }
 
+    /// Algorithm 3 panics on a non-power-of-two communicator; the CLI
+    /// refuses the combination before any rank starts.
     #[test]
-    fn run_command_graph_schedule() {
-        dispatch(
-            [
-                "run",
-                "--n=1500",
-                "--order=4",
-                "--q=40",
-                "--ranks=4",
-                "--schedule=graph",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
-        .expect("graph-scheduled run succeeds");
+    fn forced_hypercube_needs_power_of_two_ranks() {
+        for cmd in ["run", "solve"] {
+            let err = dispatch(
+                [cmd, "--n=200", "--ranks=3", "--reduction=hypercube"]
+                    .iter()
+                    .map(|s| s.to_string()),
+            )
+            .expect_err("hypercube on 3 ranks rejected");
+            assert_eq!(
+                err, "--reduction=hypercube needs a power-of-two --ranks, got 3",
+                "{cmd}"
+            );
+        }
     }
 
     #[test]
@@ -995,7 +992,12 @@ mod tests {
     fn unknown_flag_is_an_error() {
         assert!(dispatch(["run", "--frobnicate", "1"].iter().map(|s| s.to_string())).is_err());
         // Flags of the retired engine modes are unknown flags now.
-        for retired in ["--translate=matvec", "--ulist=scalar", "--setup=serial"] {
+        for retired in [
+            "--translate=matvec",
+            "--ulist=scalar",
+            "--setup=serial",
+            "--schedule=graph",
+        ] {
             for cmd in ["run", "tune", "solve"] {
                 let err = dispatch([cmd, "--n=100", retired].iter().map(|s| s.to_string()))
                     .expect_err("retired flag rejected");
@@ -1009,10 +1011,10 @@ mod tests {
 
     #[test]
     fn misspelled_flag_gets_a_suggestion() {
-        let err = dispatch(["run", "--shedule", "graph"].iter().map(|s| s.to_string()))
+        let err = dispatch(["run", "--reducton", "naive"].iter().map(|s| s.to_string()))
             .expect_err("misspelling rejected");
         assert!(
-            err.contains("did you mean --schedule"),
+            err.contains("did you mean --reduction"),
             "suggestion missing: {err}"
         );
         let err = dispatch(["run", "--kernal=stokes"].iter().map(|s| s.to_string()))
@@ -1041,7 +1043,7 @@ mod tests {
 
     #[test]
     fn edit_distance_basics() {
-        assert_eq!(edit_distance("schedule", "shedule"), 1);
+        assert_eq!(edit_distance("reduction", "reducton"), 1);
         assert_eq!(edit_distance("kernel", "kernal"), 1);
         assert_eq!(edit_distance("abc", "abc"), 0);
         assert_eq!(edit_distance("", "abc"), 3);
@@ -1124,7 +1126,6 @@ mod tests {
                 "--order=4",
                 "--q=40",
                 "--ranks=2",
-                "--schedule=graph",
                 "--trace",
                 &path_s,
             ]

@@ -61,18 +61,6 @@ pub enum Reduction {
     Naive,
 }
 
-/// How the evaluation phases are executed.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// Bulk-synchronous: phases run one after another and the rank
-    /// blocks inside the Comm phase (the reference path).
-    Barrier,
-    /// Dependency-graph execution via `pfmm-sched`: per-octant-chunk
-    /// tasks with explicit data dependencies, and the reduce-and-scatter
-    /// as a non-blocking comm task overlapped with the U/X-lists.
-    Graph,
-}
-
 /// FMM parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct FmmConfig {
@@ -97,9 +85,6 @@ pub struct FmmConfig {
     pub threads: usize,
     /// Parallel-sort backend.
     pub sort: SortKind,
-    /// Phase executor: bulk-synchronous barriers or the task graph with
-    /// communication/compute overlap.
-    pub schedule: Schedule,
 }
 
 impl Default for FmmConfig {
@@ -113,7 +98,6 @@ impl Default for FmmConfig {
             reduction: Reduction::Auto,
             threads: 1,
             sort: SortKind::Sample,
-            schedule: Schedule::Barrier,
         }
     }
 }
@@ -231,7 +215,7 @@ impl Fmm {
     /// cross-rank flow arrows (the tracer is attached to the communicator
     /// for the duration of the call). Tracing never changes the
     /// arithmetic: a traced run's potentials are bitwise identical to an
-    /// untraced one, under either executor. Metrics are recorded after
+    /// untraced one. Metrics are recorded after
     /// the arithmetic finishes, from the same `Profile`/`CommStats`
     /// values stored in the returned result, so they can never disagree
     /// with the result they describe.
@@ -257,7 +241,7 @@ impl Fmm {
         let comm = c.stats();
         if reg.enabled() {
             let (kernel, rank) = (self.kernel.name(), c.rank());
-            crate::obs::record_evaluation(reg, kernel, &self.cfg, rank, &profile, &plan.lists);
+            crate::obs::record_evaluation(reg, kernel, rank, &profile, &plan.lists);
             pfmm_mpisim::obs::record_comm(reg, rank, &comm);
         }
         PotentialResult {
@@ -547,22 +531,30 @@ mod tests {
 
     /// Potentials are bitwise identical at any thread count: the range
     /// cuts move with `threads`, the per-target accumulation order does
-    /// not.
+    /// not. The 4-rank ellipsoid case runs two hypercube rounds on an
+    /// adaptive tree, in both M2L modes.
     #[test]
     fn potentials_bitwise_invariant_in_threads() {
         let mut lap = uniform_cube(600, 37, 0);
         randomize_densities(&mut lap, 1, 21);
         let mut sto = ellipsoid_1_1_4(500, 41, 0);
         randomize_densities(&mut sto, 3, 23);
-        let cases: [(Arc<dyn Kernel>, Vec<PointRec>, usize); 2] = [
-            (Arc::new(Laplace), lap, 1),
-            (Arc::new(Stokes::default()), sto, 2),
+        let mut ell = ellipsoid_1_1_4(2000, 41, 0);
+        randomize_densities(&mut ell, 1, 43);
+        let (laplace, stokes): (Arc<dyn Kernel>, Arc<dyn Kernel>) =
+            (Arc::new(Laplace), Arc::new(Stokes::default()));
+        let cases = [
+            (laplace.clone(), lap, 1, M2lMode::FftBatched),
+            (stokes, sto, 2, M2lMode::FftBatched),
+            (laplace.clone(), ell.clone(), 4, M2lMode::FftBatched),
+            (laplace, ell, 4, M2lMode::Dense),
         ];
-        for (kernel, pts, p) in cases {
+        for (kernel, pts, p, m2l) in cases {
             let bits = |threads: usize| {
                 let cfg = FmmConfig {
                     order: 4,
                     q: 25,
+                    m2l,
                     threads,
                     ..Default::default()
                 };
@@ -574,7 +566,11 @@ mod tests {
             };
             let one = bits(1);
             for threads in [2, 3] {
-                assert!(bits(threads) == one, "{} threads {threads}", kernel.name());
+                let name = kernel.name();
+                assert!(
+                    bits(threads) == one,
+                    "{name} p={p} {m2l:?}: threads {threads}"
+                );
             }
         }
     }
@@ -606,7 +602,7 @@ mod tests {
     /// adaptive distributed Stokes tree and a clustered Laplace tree
     /// holding both moved and kept W and X pairs, the potentials meet the
     /// direct sum and the dense-M2L oracle at the usual tolerances, and
-    /// stay bitwise invariant in the thread count and the executor.
+    /// stay bitwise invariant in the thread count.
     #[test]
     fn demoted_wx_pairs_stay_exact_and_deterministic() {
         let mut sto = ellipsoid_1_1_4(1500, 43, 0);
@@ -679,13 +675,9 @@ mod tests {
                     .collect::<Vec<u64>>()
             };
             let one = bits(base);
-            for (threads, schedule) in [(3, Schedule::Barrier), (2, Schedule::Graph)] {
-                let cfg = FmmConfig {
-                    threads,
-                    schedule,
-                    ..base
-                };
-                assert!(bits(cfg) == one, "{name}: {threads} threads, {schedule:?}");
+            for threads in [2, 3] {
+                let cfg = FmmConfig { threads, ..base };
+                assert!(bits(cfg) == one, "{name}: {threads} threads");
             }
         }
     }
@@ -743,48 +735,6 @@ mod tests {
                         (a - b).abs() < 1e-3 * b.abs().max(1.0),
                         "p={p} gid={gid}: {a} vs {b}"
                     );
-                }
-            }
-        }
-    }
-
-    /// The graph executor must not merely approximate the barrier one —
-    /// identical chunk kernels plus the canonical accumulation order
-    /// make the potentials bitwise equal, in every M2L mode, sequential
-    /// and distributed, with and without worker threads.
-    #[test]
-    fn graph_schedule_matches_barrier_bitwise() {
-        let mut pts = uniform_cube(900, 31, 0);
-        randomize_densities(&mut pts, 1, 17);
-        for m2l in [M2lMode::Dense, M2lMode::FftBatched] {
-            for (p, threads) in [(1usize, 1usize), (4, 2)] {
-                let base = FmmConfig {
-                    order: 4,
-                    q: 30,
-                    m2l,
-                    threads,
-                    ..Default::default()
-                };
-                let barrier = run_fmm(Arc::new(Laplace), base, pts.clone(), p);
-                let graph = run_fmm(
-                    Arc::new(Laplace),
-                    FmmConfig {
-                        schedule: Schedule::Graph,
-                        ..base
-                    },
-                    pts.clone(),
-                    p,
-                );
-                let b: std::collections::HashMap<u64, Vec<f64>> = barrier.into_iter().collect();
-                assert_eq!(graph.len(), b.len());
-                for (gid, pot) in graph {
-                    for (a, w) in pot.iter().zip(&b[&gid]) {
-                        assert_eq!(
-                            a.to_bits(),
-                            w.to_bits(),
-                            "m2l={m2l:?} p={p} gid={gid}: graph {a} vs barrier {w}"
-                        );
-                    }
                 }
             }
         }
@@ -894,84 +844,75 @@ mod tests {
         }
     }
 
-    /// Both executors must charge the tiled near-field build time to the
-    /// U-list phase — the charge happens once, centrally, before either
-    /// dispatches — and record it separately in `nf_build_secs`.
+    /// The tiled near-field build time is charged to the U-list phase —
+    /// once, centrally, before the phases run — and recorded separately
+    /// in `nf_build_secs`.
     #[test]
-    fn nearfield_build_charged_to_ulist_under_both_schedules() {
+    fn nearfield_build_charged_to_ulist() {
         let mut pts = uniform_cube(1500, 53, 0);
         randomize_densities(&mut pts, 1, 23);
-        for schedule in [Schedule::Barrier, Schedule::Graph] {
-            let fmm = Fmm::new(
-                Arc::new(Laplace),
-                FmmConfig {
-                    order: 4,
-                    q: 30,
-                    schedule,
-                    ..Default::default()
-                },
-            );
-            let profs = run(1, |c| fmm.evaluate(c, pts.clone()).profile.clone());
-            let p = &profs[0];
-            assert!(
-                p.nf_build_secs > 0.0,
-                "{schedule:?}: near-field build time recorded"
-            );
-            assert!(
-                p.secs(Phase::UList) >= p.nf_build_secs,
-                "{schedule:?}: build time folded into U-list ({} < {})",
-                p.secs(Phase::UList),
-                p.nf_build_secs
-            );
-        }
+        let fmm = Fmm::new(
+            Arc::new(Laplace),
+            FmmConfig {
+                order: 4,
+                q: 30,
+                ..Default::default()
+            },
+        );
+        let profs = run(1, |c| fmm.evaluate(c, pts.clone()).profile.clone());
+        let p = &profs[0];
+        assert!(p.nf_build_secs > 0.0, "near-field build time recorded");
+        assert!(
+            p.secs(Phase::UList) >= p.nf_build_secs,
+            "build time folded into U-list ({} < {})",
+            p.secs(Phase::UList),
+            p.nf_build_secs
+        );
     }
 
     /// Tracing must be an observer: at full (Comm) level the potentials
-    /// stay bitwise identical to an untraced run under both executors,
-    /// and the emitted event stream is structurally valid Chrome trace
-    /// material carrying every rank's setup stages (emitted by the plan
-    /// pipeline; the balance rebuild adds a second tree/lists pair).
+    /// stay bitwise identical to an untraced run, and the emitted event
+    /// stream is structurally valid Chrome trace material carrying every
+    /// rank's setup stages (emitted by the plan pipeline; the balance
+    /// rebuild adds a second tree/lists pair).
     #[test]
     fn traced_evaluation_is_bitwise_identical_and_emits_valid_spans() {
         use pfmm_trace::{chrome, EventKind, TraceLevel, Tracer};
         let mut pts = uniform_cube(800, 61, 0);
         randomize_densities(&mut pts, 1, 31);
-        for schedule in [Schedule::Barrier, Schedule::Graph] {
-            let fmm = Fmm::new(
-                Arc::new(Laplace),
-                FmmConfig {
-                    order: 4,
-                    q: 30,
-                    threads: 2,
-                    schedule,
-                    ..Default::default()
-                },
-            );
-            let tracer = Arc::new(Tracer::new(TraceLevel::Comm));
-            let p = 2;
-            run(p, |c| {
-                let mine: Vec<PointRec> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
-                let plain = fmm.evaluate(c, mine.clone());
-                let traced = fmm.evaluate_observed(c, mine, &tracer, pfmm_metrics::global());
-                assert_eq!(plain.pot.len(), traced.pot.len());
-                for (a, b) in plain.pot.iter().zip(&traced.pot) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{schedule:?}: traced != plain");
-                }
-            });
-            let evs = tracer.drain();
-            assert!(!evs.is_empty(), "{schedule:?}: events recorded");
-            let st = chrome::validate(&evs).expect("structurally valid trace");
-            assert!(st.spans > 0, "{schedule:?}: spans present");
-            for rank in 0..p as u32 {
-                let opened = |name: &str| {
-                    evs.iter()
-                        .filter(|e| e.kind == EventKind::Begin && e.rank == rank && e.name == name)
-                        .count()
-                };
-                assert_eq!(opened("Sort"), 1, "{schedule:?} rank {rank}: one Sort span");
-                for stage in ["Setup:Tree", "Setup:Lists", "Setup:Plan"] {
-                    assert!(opened(stage) >= 1, "{schedule:?} rank {rank}: {stage} span");
-                }
+        let fmm = Fmm::new(
+            Arc::new(Laplace),
+            FmmConfig {
+                order: 4,
+                q: 30,
+                threads: 2,
+                ..Default::default()
+            },
+        );
+        let tracer = Arc::new(Tracer::new(TraceLevel::Comm));
+        let p = 2;
+        run(p, |c| {
+            let mine: Vec<PointRec> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
+            let plain = fmm.evaluate(c, mine.clone());
+            let traced = fmm.evaluate_observed(c, mine, &tracer, pfmm_metrics::global());
+            assert_eq!(plain.pot.len(), traced.pot.len());
+            for (a, b) in plain.pot.iter().zip(&traced.pot) {
+                assert_eq!(a.to_bits(), b.to_bits(), "traced != plain");
+            }
+        });
+        let evs = tracer.drain();
+        assert!(!evs.is_empty(), "events recorded");
+        let st = chrome::validate(&evs).expect("structurally valid trace");
+        assert!(st.spans > 0, "spans present");
+        for rank in 0..p as u32 {
+            let opened = |name: &str| {
+                evs.iter()
+                    .filter(|e| e.kind == EventKind::Begin && e.rank == rank && e.name == name)
+                    .count()
+            };
+            assert_eq!(opened("Sort"), 1, "rank {rank}: one Sort span");
+            for stage in ["Setup:Tree", "Setup:Lists", "Setup:Plan"] {
+                assert!(opened(stage) >= 1, "rank {rank}: {stage} span");
             }
         }
     }

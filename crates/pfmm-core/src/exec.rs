@@ -7,55 +7,38 @@
 //! times and flops. The densities live in `EvalData` and can be replaced
 //! between runs without rebuilding anything else.
 //!
-//! Two executors share the same per-octant kernels (the `Ctx` methods):
-//!
-//! * **Barrier** ([`run_phases_barrier`]): bulk-synchronous phases in the
-//!   canonical order Upward → Comm → U → X → V → Downward → W. With
-//!   `FmmConfig::threads > 1` the per-octant phases fan out over a host
-//!   thread pool via [`crate::par`]; the rank blocks inside Comm.
-//! * **Graph** ([`run_phases_graph`]): the phases are emitted as a
-//!   `pfmm-sched` task graph over octant chunks, with the
-//!   reduce-and-scatter as a *comm task* polling non-blocking requests.
-//!   The U- and X-lists need no remote upward densities (their sources'
-//!   point densities arrive with the LET), so their chunks execute while
-//!   the reduction is in flight — the paper's §III motivation for
-//!   overlapping the direct interactions with communication.
-//!
-//! Both executors accumulate into each output slice in the same order
-//! (`f`: U, then D2T, then W; `dcheck`: X, then V; `u`: S2U, then U2U in
-//! level/index order, then the reduction write-back), and the hypercube
-//! reduction folds rounds identically in its blocking and poll-driven
-//! forms, so the two schedules produce bitwise-identical potentials.
+//! The phases run bulk-synchronously in the canonical order Upward →
+//! Comm → U → X → V → Downward → W. With `FmmConfig::threads > 1` the
+//! per-octant phases fan out over a host thread pool via [`crate::par`];
+//! the rank blocks inside Comm. Each output slice is accumulated in a
+//! fixed order (`f`: U, then D2T, then W; `dcheck`: X, then V; `u`: S2U,
+//! then U2U in level/index order, then the reduction write-back), and no
+//! per-octant kernel depends on where the range cuts fall, so the
+//! potentials are bitwise identical at every thread count and trace
+//! level.
 //!
 //! The shared-operator up/down translations (uc2e/dc2e solves, U2U, D2D)
 //! run level by level as batched multi-RHS GEMMs over the plan-time
 //! groups of [`crate::translate`]; each level is one task on one thread.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use pfmm_kernels::{direct_eval, Kernel, Point3, TileKernel, Tiles, LANE};
 use pfmm_morton::MortonKey;
 use pfmm_mpisim::{Comm, CommStats};
-use pfmm_sched::{CommPoll, Graph, GraphBuf, Slot, TraceCtx};
 use pfmm_trace::{tid_worker, TraceLevel, Tracer, TID_MAIN};
 use pfmm_tree::{Let, Lists};
 
-use crate::driver::{Fmm, M2lMode, Reduction, Schedule};
+use crate::driver::{Fmm, M2lMode, Reduction};
 use crate::nearfield::NearField;
 use crate::translate::TranslatePlan;
 
-/// Batched-mode pass-1 product: the chunk-major source spectra (the
-/// kernel-spectrum table belongs to the `Fmm`, density-independent).
-type BatchedSpectra = Arc<SourceSpectra>;
-use crate::m2l_batched::{
-    FftBatchedM2l, LendTmp, SiblingIndex, SourceSpectra, SpectraTmp, BATCH_TARGETS,
-};
+use crate::m2l_batched::{FftBatchedM2l, LendTmp, SiblingIndex, SourceSpectra, BATCH_TARGETS};
 use crate::ops::Ops;
-use crate::par::{par_map_n, par_windows, par_windows_weighted, weighted_cuts, SetupPar};
+use crate::par::{par_map_n, par_windows, par_windows_weighted, SetupPar};
 use crate::profile::{flop_model, Phase, Profile};
-use crate::reduce::{reduce_scatter_hypercube, reduce_scatter_naive, HypercubeReduceAsync};
+use crate::reduce::{reduce_scatter_hypercube, reduce_scatter_naive};
 use crate::workspace::{EvalWorkspace, WorkerScratch};
 
 /// Per-LET evaluation workspace: leaf geometry, packed densities, and the
@@ -164,10 +147,9 @@ pub(crate) fn offset_of(alpha: &MortonKey, beta: &MortonKey) -> [i8; 3] {
 /// monomorphized `eval_tiles` call per box amortizes that away and lets
 /// the kernel body vectorize.
 ///
-/// Both executors share this path, so it leaves every bitwise-equality
-/// invariant intact (`eval_tiles` keeps one
-/// accumulator per target output walking sources in order; padding lanes
-/// contribute exactly `0.0`).
+/// It leaves every bitwise-equality invariant intact (`eval_tiles` keeps
+/// one accumulator per target output walking sources in order; padding
+/// lanes contribute exactly `0.0`).
 #[derive(Default)]
 pub(crate) struct TileEval {
     tx: Vec<f64>,
@@ -250,9 +232,9 @@ impl TileEval {
     }
 }
 
-/// Borrowed evaluation context shared by every chunk kernel; both
-/// executors call the same methods so the per-octant arithmetic (and its
-/// floating-point order) is identical by construction.
+/// Borrowed evaluation context shared by every chunk kernel, so the
+/// per-octant arithmetic (and its floating-point order) does not depend
+/// on the range cuts.
 struct Ctx<'a> {
     kernel: &'a dyn Kernel,
     ops: &'a Ops,
@@ -376,7 +358,7 @@ impl Ctx<'_> {
 
     /// (2) One U2U level as up to 8 class-grouped GEMMs. Children of one
     /// parent arrive in ascending child-index order, a fixed per-parent
-    /// merge order that both executors share.
+    /// merge order.
     fn u2u_level_gemm(
         &self,
         level: u32,
@@ -447,7 +429,7 @@ impl Ctx<'_> {
     /// `range`; `window` is the matching point-potential slice. With a
     /// tiled layout present this dispatches to the SoA microkernels —
     /// same target boxes, same per-target accumulation order (CSR rows
-    /// sorted by source box), so both executors stay bitwise identical.
+    /// sorted by source box), so any range cut stays bitwise identical.
     /// Kernels without tile microkernels take the scalar loop below.
     fn uli_range(&self, range: Range<usize>, window: &mut [f64], base: usize) -> u64 {
         if let (Some(nf), Some(tk)) = (self.nf, self.tk) {
@@ -594,30 +576,14 @@ impl Ctx<'_> {
         fl
     }
 
-    /// Allocating wrapper for the graph executor's pass-1 task.
-    fn vli_batched_spectra(&self, has_up: &[bool], u: &[f64]) -> (SourceSpectra, u64) {
-        let (mut needed, mut sources) = (Vec::new(), Vec::new());
-        let mut out = SourceSpectra::empty();
-        let fl = self.vli_batched_spectra_into(
-            has_up,
-            u,
-            1,
-            &mut needed,
-            &mut sources,
-            &|f| f(&mut SpectraTmp::default()),
-            &mut out,
-        );
-        (out, fl)
-    }
-
     /// V-list batched pass 2: the sibling-blocked Hadamard. The
     /// targets in `range` are taken from the sibling index in batches of
     /// up to four same-level parents; each batch runs the chunked kernel
     /// into reusable scratch accumulators, then each target with at least
     /// one edge is inverse-transformed into its check potential. A parent
     /// group split by the range cut contributes only its in-range
-    /// children. Per-target results do not depend on the batching, so both
-    /// executors accumulate identically at any cut.
+    /// children. Per-target results do not depend on the batching, so
+    /// every cut accumulates identically.
     fn vli_batched_range(
         &self,
         has_up: &[bool],
@@ -731,18 +697,14 @@ fn refresh_ghost_has_up(ulen: usize, u: &[f64], has_up: &mut [bool]) {
     }
 }
 
-fn stats_delta(before: &CommStats, after: &CommStats) -> CommStats {
-    after.delta_since(before)
-}
-
-/// Span recorder for the barrier executor: whole-phase spans on the
+/// Span recorder for the phases: whole-phase spans on the
 /// driver lane at [`TraceLevel::Phase`], plus one span per parallel chunk
 /// at [`TraceLevel::Task`]. Chunk lanes are handed out from a counter
 /// that resets per phase, so every span gets a lane of its own and the
 /// Chrome nesting invariant holds trivially. Recording happens strictly
 /// *around* the chunk closures — the arithmetic, its ordering, and the
-/// `Profile` timings are untouched, preserving the bitwise barrier==graph
-/// guarantee at every trace level.
+/// `Profile` timings are untouched, so a traced run stays bitwise
+/// identical to an untraced one.
 struct PhaseTrace<'a> {
     tracer: &'a Tracer,
     rank: u32,
@@ -788,8 +750,7 @@ impl PhaseTrace<'_> {
     }
 }
 
-/// Execute the FMM evaluation phases with the configured executor
-/// against the workspace's reusable buffers. The potentials (packed
+/// Execute the FMM evaluation phases against the workspace's reusable buffers. The potentials (packed
 /// `target_dim` per point, aligned with `l`'s point storage) are left in
 /// `ws.f`; the return value is the Comm-phase traffic delta.
 #[allow(clippy::too_many_arguments)]
@@ -803,8 +764,7 @@ pub fn run_phases(
     prof: &mut Profile,
     tracer: &Tracer,
 ) -> CommStats {
-    // The tiled near-field layout is shared by both executors: built on
-    // the workspace's first run, density-refreshed in place afterwards.
+    // The tiled near-field layout is built on the workspace's first run, density-refreshed in place afterwards.
     // Both costs are charged to the U-list phase, the same way the GPU
     // pipeline charges its data-structure translation. Kernels without
     // tile microkernels have no layout and run the scalar U-list.
@@ -862,31 +822,6 @@ pub fn run_phases(
     ws.d.fill(0.0);
     ws.f.fill(0.0);
 
-    let workers = fmm.config().threads.max(1);
-    match fmm.config().schedule {
-        // A single-worker, single-rank graph run schedules the exact
-        // barrier order (same chunk kernels, bitwise identical by the
-        // module invariant) with pure task bookkeeping on top of it —
-        // delegate, unless a phase-level tracer wants real graph spans.
-        Schedule::Graph if workers > 1 || c.size() > 1 || tracer.enabled(TraceLevel::Phase) => {
-            run_phases_graph(fmm, c, l, lists, data, ws, prof, tracer)
-        }
-        _ => run_phases_barrier(fmm, c, l, lists, data, ws, prof, tracer),
-    }
-}
-
-/// The bulk-synchronous executor (the reference path).
-#[allow(clippy::too_many_arguments)]
-fn run_phases_barrier(
-    fmm: &Fmm,
-    c: &Comm,
-    l: &Let,
-    lists: &Lists,
-    data: &EvalData,
-    ws: &mut EvalWorkspace,
-    prof: &mut Profile,
-    tracer: &Tracer,
-) -> CommStats {
     let cfg = fmm.config();
     // Disjoint borrows of the workspace fields, so the context can hold
     // the near field and spectrum table while the phase buffers are
@@ -971,7 +906,7 @@ fn run_phases_barrier(
         })
     });
     let comm_reduce = match comm_before {
-        Some(b) => stats_delta(&b, &c.stats()),
+        Some(b) => c.stats().delta_since(&b),
         None => CommStats::default(),
     };
     // Ghost densities may have arrived: refresh occupancy.
@@ -983,8 +918,7 @@ fn run_phases_barrier(
     // ranges cut by interaction count (source·target point products) —
     // adaptive trees concentrate the near-field work in the refined
     // regions, which starves count-based chunks. Runs first among the
-    // potential writers so the per-point accumulation order (U, D2T, W)
-    // matches the graph executor's chunk chains.
+    // potential writers: the per-point accumulation order is U, D2T, W.
     let pt_base = &|i: usize| l.pt_off[i.min(noct)] * td;
     pt.phase(Phase::UList, || {
         prof.timed(Phase::UList, |prof| {
@@ -1094,277 +1028,4 @@ fn run_phases_barrier(
     });
 
     comm_reduce
-}
-
-/// The task-graph executor: octant-chunk tasks with explicit data
-/// dependencies, the reduce-and-scatter as a polled comm task, and the
-/// comm-independent U/X chunks overlapping it.
-#[allow(clippy::too_many_arguments)]
-fn run_phases_graph(
-    fmm: &Fmm,
-    c: &Comm,
-    l: &Let,
-    lists: &Lists,
-    data: &EvalData,
-    ws: &mut EvalWorkspace,
-    prof: &mut Profile,
-    tracer: &Tracer,
-) -> CommStats {
-    let cfg = fmm.config();
-    let EvalWorkspace {
-        ref nf,
-        ref sib,
-        ref pool,
-        ref mut u,
-        ref mut has_up,
-        ref mut ucheck,
-        ref mut dcheck,
-        ref mut d,
-        ref mut f,
-        ..
-    } = *ws;
-    let cx = Ctx::new(fmm, l, lists, data, nf.as_ref(), sib);
-    let workers = cfg.threads.max(1);
-    let noct = l.len();
-    let (ulen, clen, td) = (cx.ulen, cx.clen, cx.td);
-    let max_level = data.max_level;
-
-    // Octant chunking: enough chunks to keep the workers fed while the
-    // comm task is in flight, without drowning small problems in task
-    // overhead. Chunk boundaries are cut by interaction count (one weight
-    // serves every list phase — the U/V/W/X degree dominates an octant's
-    // work) and do not affect the numerics (every task writes per-octant
-    // slices).
-    let nchunks = noct.min((workers * 4).max(4));
-    let chunk_weights: Vec<u64> = (0..noct).map(|i| 1 + lists.degree(i) as u64).collect();
-    let cuts: Vec<usize> = weighted_cuts(nchunks, &chunk_weights);
-    let chk_base = |i: usize| i * clen;
-    let pt_base = |i: usize| l.pt_off[i.min(noct)] * td;
-
-    // The graph temporarily owns the workspace's pre-zeroed phase
-    // buffers (GraphBuf wants ownership); they are restored below after
-    // the run so later applies reuse the allocations.
-    let ub = GraphBuf::new(std::mem::take(u));
-    let hub = GraphBuf::new(std::mem::take(has_up));
-    let dcb = GraphBuf::new(std::mem::take(dcheck));
-    let fb = GraphBuf::new(std::mem::take(f));
-    let db = GraphBuf::new(std::mem::take(d));
-    let ucb = GraphBuf::new(std::mem::take(ucheck));
-    let flops: Vec<AtomicU64> = (0..Phase::ALL.len()).map(|_| AtomicU64::new(0)).collect();
-    let comm_delta: Slot<CommStats> = Slot::new();
-    let bspectra: Slot<BatchedSpectra> = Slot::new();
-
-    let cxr = &cx;
-    let (ur, hur, dcr, fr, dbr, ucr) = (&ub, &hub, &dcb, &fb, &db, &ucb);
-    let flr = &flops;
-    let cdr = &comm_delta;
-    let bsp = &bspectra;
-
-    let mut g = Graph::new();
-
-    // S2U chunks: disjoint slices of the check staging buffer, plus this
-    // chunk's `has_up` slice.
-    let s2u_ids: Vec<_> = (0..nchunks)
-        .map(|k| {
-            let (lo, hi) = (cuts[k], cuts[k + 1]);
-            g.task(Phase::Upward.label(), &[], move || {
-                // Safety: chunk ranges are disjoint; the uc2e solve task
-                // depends on every S2U chunk before touching `u`.
-                let w = unsafe { ucr.slice_mut(chk_base(lo), chk_base(hi) - chk_base(lo)) };
-                let fl = pool.with(|sc| cxr.s2u_check_range(lo..hi, w, chk_base(lo), sc));
-                let hw = unsafe { hur.slice_mut(lo, hi - lo) };
-                cxr.mark_has_up_range(lo..hi, hw);
-                flr[Phase::Upward as usize].fetch_add(fl, Ordering::Relaxed);
-            })
-        })
-        .collect();
-
-    // The level-batched uc2e solve sits between the check chunks and
-    // the U2U chain: one task, the sole writer of `u`.
-    let solve = g.task(Phase::Upward.label(), &s2u_ids, move || {
-        // Safety: all S2U check chunks completed (dependencies); the U2U
-        // chain is behind this task.
-        let uc = unsafe { ucr.as_slice() };
-        let uw = unsafe { ur.slice_mut(0, ur.len()) };
-        let fl = pool.with(|sc| cxr.s2u_solve_levels(uc, uw, sc));
-        flr[Phase::Upward as usize].fetch_add(fl, Ordering::Relaxed);
-    });
-    let mut upward_tail = vec![solve];
-
-    // U2U levels, chained deepest-first (each level reads children and
-    // writes parents anywhere in the LET, so levels serialize).
-    for level in (1..=max_level).rev() {
-        let t = g.task(Phase::Upward.label(), &upward_tail, move || {
-            // Safety: sole writer of `u`/`has_up` at this point in the
-            // chain (all S2U chunks and shallower levels completed).
-            let uw = unsafe { ur.slice_mut(0, ur.len()) };
-            let hw = unsafe { hur.slice_mut(0, noct) };
-            let fl = pool.with(|sc| cxr.u2u_level_gemm(level, uw, hw, sc));
-            flr[Phase::Upward as usize].fetch_add(fl, Ordering::Relaxed);
-        });
-        upward_tail = vec![t];
-    }
-
-    // The reduce-and-scatter as a comm task: non-blocking hypercube
-    // rounds polled on the driver thread (the naive fallback completes
-    // inside one poll — its collectives cannot deadlock on buffered
-    // sends, and the workers keep computing U/X chunks meanwhile).
-    let mut before: Option<CommStats> = None;
-    let mut reducer: Option<HypercubeReduceAsync> = None;
-    let comm_id = g.comm(Phase::Comm.label(), &upward_tail, move || {
-        // Skip the stats snapshots at size 1 (nothing is exchanged, and
-        // `Comm::stats` clones the per-peer map — an allocation).
-        if before.is_none() && c.size() > 1 {
-            before = Some(c.stats());
-        }
-        if c.size() > 1 {
-            let hypercube = match cfg.reduction {
-                Reduction::Auto => c.size().is_power_of_two(),
-                Reduction::Hypercube => true,
-                Reduction::Naive => false,
-            };
-            if hypercube {
-                if reducer.is_none() {
-                    // Safety: the upward chain completed (dependency) and
-                    // nothing else touches `u` until this task finishes.
-                    let u_ro = unsafe { ur.as_slice() };
-                    reducer = Some(HypercubeReduceAsync::begin(c, l, ulen, u_ro));
-                }
-                if !reducer.as_mut().expect("begun above").poll(c, l) {
-                    return CommPoll::Pending;
-                }
-                let uw = unsafe { ur.slice_mut(0, ur.len()) };
-                reducer.take().expect("polled to done").finish(l, ulen, uw);
-            } else {
-                let uw = unsafe { ur.slice_mut(0, ur.len()) };
-                reduce_scatter_naive(c, l, ulen, uw);
-            }
-        }
-        let u_ro = unsafe { ur.as_slice() };
-        let hw = unsafe { hur.slice_mut(0, noct) };
-        refresh_ghost_has_up(ulen, u_ro, hw);
-        cdr.put(match before.as_ref() {
-            Some(b) => stats_delta(b, &c.stats()),
-            None => CommStats::default(),
-        });
-        CommPoll::Ready
-    });
-
-    // U-list chunks: no dependencies at all — their sources' point
-    // densities came with the LET, so they overlap the reduction.
-    let uli_ids: Vec<_> = (0..nchunks)
-        .map(|k| {
-            let (lo, hi) = (cuts[k], cuts[k + 1]);
-            g.task(Phase::UList.label(), &[], move || {
-                // Safety: first writer of this chunk's potential slice;
-                // D2T/W for the same chunk are chained behind it.
-                let w = unsafe { fr.slice_mut(pt_base(lo), pt_base(hi) - pt_base(lo)) };
-                let fl = cxr.uli_range(lo..hi, w, pt_base(lo));
-                flr[Phase::UList as usize].fetch_add(fl, Ordering::Relaxed);
-            })
-        })
-        .collect();
-
-    // X-list chunks: also comm-independent (leaf sources, not upward
-    // densities); first writers of their dcheck slices.
-    let xli_ids: Vec<_> = (0..nchunks)
-        .map(|k| {
-            let (lo, hi) = (cuts[k], cuts[k + 1]);
-            g.task(Phase::XList.label(), &[], move || {
-                // Safety: V for the same chunk is chained behind X.
-                let w = unsafe { dcr.slice_mut(chk_base(lo), chk_base(hi) - chk_base(lo)) };
-                let fl = pool.with(|sc| cxr.xli_range(lo..hi, w, chk_base(lo), sc));
-                flr[Phase::XList as usize].fetch_add(fl, Ordering::Relaxed);
-            })
-        })
-        .collect();
-
-    // V-list chunks: need the completed upward densities (Comm) and
-    // chain behind the same chunk's X task (shared dcheck slice). The
-    // FFT path inserts the shared forward-transform pass in between.
-    let v_dep = match cfg.m2l {
-        M2lMode::Dense => comm_id,
-        M2lMode::FftBatched => g.task(Phase::VList.label(), &[comm_id], move || {
-            let u_ro = unsafe { ur.as_slice() };
-            let hu = unsafe { hur.as_slice() };
-            let (src, fl) = cxr.vli_batched_spectra(hu, u_ro);
-            bsp.put(Arc::new(src));
-            flr[Phase::VList as usize].fetch_add(fl, Ordering::Relaxed);
-        }),
-    };
-    let vli_ids: Vec<_> = (0..nchunks)
-        .map(|k| {
-            let (lo, hi) = (cuts[k], cuts[k + 1]);
-            let m2l = cfg.m2l;
-            g.task(Phase::VList.label(), &[v_dep, xli_ids[k]], move || {
-                let u_ro = unsafe { ur.as_slice() };
-                let hu = unsafe { hur.as_slice() };
-                let w = unsafe { dcr.slice_mut(chk_base(lo), chk_base(hi) - chk_base(lo)) };
-                let fl = match m2l {
-                    M2lMode::Dense => cxr.vli_dense_range(hu, u_ro, lo..hi, w, chk_base(lo)),
-                    M2lMode::FftBatched => {
-                        let b = bsp.with(Arc::clone);
-                        pool.with(|sc| cxr.vli_batched_range(hu, &b, lo..hi, w, chk_base(lo), sc))
-                    }
-                };
-                flr[Phase::VList as usize].fetch_add(fl, Ordering::Relaxed);
-            })
-        })
-        .collect();
-
-    // D2D: one level-synchronous task over the whole LET once dcheck is
-    // complete (every V chunk implies its X chunk).
-    let d2d_id = g.task(Phase::Downward.label(), &vli_ids, move || {
-        let dc = unsafe { dcr.as_slice() };
-        let dw = unsafe { dbr.slice_mut(0, dbr.len()) };
-        let fl = pool.with(|sc| cxr.d2d_levels_gemm(max_level, dc, dw, sc));
-        flr[Phase::Downward as usize].fetch_add(fl, Ordering::Relaxed);
-    });
-
-    // D2T chunk k continues chunk k's potential slice after U-list; W
-    // chunk k finishes it (and needs the ghost upward densities).
-    for k in 0..nchunks {
-        let (lo, hi) = (cuts[k], cuts[k + 1]);
-        let d2t = g.task(Phase::Downward.label(), &[d2d_id, uli_ids[k]], move || {
-            let d_ro = unsafe { dbr.as_slice() };
-            let w = unsafe { fr.slice_mut(pt_base(lo), pt_base(hi) - pt_base(lo)) };
-            let fl = pool.with(|sc| cxr.d2t_range(d_ro, lo..hi, w, pt_base(lo), sc));
-            flr[Phase::Downward as usize].fetch_add(fl, Ordering::Relaxed);
-        });
-        g.task(Phase::WList.label(), &[d2t, comm_id], move || {
-            let u_ro = unsafe { ur.as_slice() };
-            let hu = unsafe { hur.as_slice() };
-            let w = unsafe { fr.slice_mut(pt_base(lo), pt_base(hi) - pt_base(lo)) };
-            let fl = pool.with(|sc| cxr.wli_range(hu, u_ro, lo..hi, w, pt_base(lo), sc));
-            flr[Phase::WList as usize].fetch_add(fl, Ordering::Relaxed);
-        });
-    }
-
-    // Trace emission is synthesized by the scheduler *after* the graph
-    // completes, from interval records it keeps anyway — a traced graph
-    // run schedules identically to an untraced one.
-    let tc = tracer.enabled(TraceLevel::Phase).then_some(TraceCtx {
-        tracer,
-        rank: c.rank() as u32,
-    });
-    let rep = pfmm_sched::run_with(g, workers, tc).expect("the FMM task graph is acyclic");
-
-    for ph in Phase::ALL {
-        if let Some(&s) = rep.phase_secs.get(ph.label()) {
-            prof.add_secs(ph, s);
-        }
-        prof.add_flops(ph, flops[ph as usize].load(Ordering::Relaxed));
-    }
-    prof.overlap_secs += rep.overlap_secs;
-    prof.critical_path_secs += rep.critical_path_secs;
-
-    // Hand the phase buffers back to the workspace for the next apply.
-    *u = ub.into_inner();
-    *has_up = hub.into_inner();
-    *dcheck = dcb.into_inner();
-    *f = fb.into_inner();
-    *d = db.into_inner();
-    *ucheck = ucb.into_inner();
-
-    comm_delta.take()
 }

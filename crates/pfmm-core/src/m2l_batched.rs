@@ -43,8 +43,8 @@
 //! Per target the accumulation order is: by chunk, then source-parent
 //! direction, then source child — it depends only on the target's own V
 //! list and the source occupancy, never on range cuts, batch composition,
-//! thread count or SIMD tier, so the barrier and graph executors and any
-//! thread count produce bitwise-identical potentials.
+//! thread count or SIMD tier, so any thread count produces
+//! bitwise-identical potentials.
 
 use std::marker::PhantomData;
 use std::ops::Range;

@@ -22,8 +22,8 @@
 //! one virtual call per U-edge, monomorphized branch-free microkernels
 //! inside (the `max(NaN, x)` self-interaction trick; see
 //! `pfmm-kernels::tile`). Per-target accumulation order is fixed by the
-//! sorted CSR and the microkernels' lane reduction, so the barrier and
-//! graph executors produce bitwise-identical potentials.
+//! sorted CSR and the microkernels' lane reduction, so any chunking of
+//! the octant range produces bitwise-identical potentials.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -88,12 +88,12 @@ pub struct NearField {
     /// U-list in CSR over target boxes; entries are source box ids,
     /// sorted ascending within each row (source boxes are numbered in
     /// octant order, so this is Morton order — the fixed accumulation
-    /// order both executors share).
+    /// order at every chunking).
     pub ulist_off: Vec<u32>,
     pub ulist: Vec<u32>,
 
     /// Per-octant padded pair counts (`nt · ns_padded` summed over the
-    /// row) — the barrier executor's chunk weights: wall time follows
+    /// row) — the U-list chunk weights: wall time follows
     /// padded lanes, not real pairs.
     weights: Vec<u64>,
     /// Total real source/target pairs (flop accounting stays real).
@@ -587,7 +587,7 @@ mod tests {
 
     #[test]
     fn eval_is_deterministic_across_chunkings() {
-        // Chunking the octant range differently (barrier vs graph cuts)
+        // Chunking the octant range differently (other thread counts)
         // must be bitwise irrelevant: each target box is wholly inside
         // one chunk and its row order is fixed.
         let (l, lists) = small_let(600, 11);

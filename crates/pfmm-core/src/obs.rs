@@ -11,28 +11,18 @@
 //! Naming scheme (see DESIGN.md §14): `pfmm_<layer>_<what>_<unit>`,
 //! counters suffixed `_total`, durations accumulated as integer
 //! microseconds, throughput gauges in GF/s. Labels are drawn from the
-//! closed sets `kernel`, `phase`, `rank`, `schedule`, `stage`, `list`.
+//! closed sets `kernel`, `phase`, `rank`, `stage`, `list`.
 
 use pfmm_metrics::MetricsRegistry;
 use pfmm_tree::lists::Lists;
 
-use crate::driver::{FmmConfig, Schedule};
 use crate::profile::{Phase, Profile};
-
-/// Label value for the configured executor.
-pub fn schedule_label(cfg: &FmmConfig) -> &'static str {
-    match cfg.schedule {
-        Schedule::Barrier => "barrier",
-        Schedule::Graph => "graph",
-    }
-}
 
 /// Publish one finished evaluation: per-phase wall time and flop-model
 /// GF/s, setup-stage times, U/V/W/X edge counts.
 pub fn record_evaluation(
     reg: &MetricsRegistry,
     kernel: &str,
-    cfg: &FmmConfig,
     rank: usize,
     prof: &Profile,
     lists: &Lists,
@@ -41,19 +31,13 @@ pub fn record_evaluation(
         return;
     }
     let r = rank.to_string();
-    let sched = schedule_label(cfg);
     reg.counter(
         "pfmm_evaluations_total",
-        &[("kernel", kernel), ("rank", &r), ("schedule", sched)],
+        &[("kernel", kernel), ("rank", &r)],
     )
     .inc();
     for ph in Phase::ALL {
-        let labels: &[(&str, &str)] = &[
-            ("kernel", kernel),
-            ("phase", ph.label()),
-            ("rank", &r),
-            ("schedule", sched),
-        ];
+        let labels: &[(&str, &str)] = &[("kernel", kernel), ("phase", ph.label()), ("rank", &r)];
         let secs = prof.secs(ph);
         let flops = prof.flops(ph);
         reg.counter("pfmm_phase_us_total", labels)

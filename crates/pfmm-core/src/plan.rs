@@ -97,7 +97,6 @@ pub fn plan_fingerprint(
     h.write_u64(cfg.balance as u64);
     h.write_u64(cfg.reduction as u64);
     h.write_u64(cfg.sort as u64);
-    h.write_u64(cfg.schedule as u64);
     h.write_u64(comm_size as u64);
     h.write_u64(points.len() as u64);
     for p in points {
@@ -486,7 +485,7 @@ impl Fmm {
 mod tests {
     use super::*;
     use crate::distrib::{randomize_densities, uniform_cube};
-    use crate::driver::{gather_potentials, FmmConfig, Schedule};
+    use crate::driver::{gather_potentials, FmmConfig};
     use pfmm_kernels::Laplace;
     use pfmm_mpisim::run;
     use std::collections::HashMap;
@@ -504,62 +503,51 @@ mod tests {
     }
 
     /// plan + apply_into with the original densities reproduces
-    /// evaluate() bitwise under both executors — the one-shot path is a
-    /// plan followed by one apply.
+    /// evaluate() bitwise — the one-shot path is a plan followed by one
+    /// apply.
     #[test]
     fn apply_matches_evaluate() {
         let mut pts = uniform_cube(1200, 401, 0);
         randomize_densities(&mut pts, 1, 3);
-        for schedule in [Schedule::Barrier, Schedule::Graph] {
-            let f = Fmm::new(
-                Arc::new(Laplace),
-                FmmConfig {
-                    order: 4,
-                    q: 30,
-                    schedule,
-                    ..Default::default()
-                },
-            );
-            for p in [1usize, 2, 4] {
-                let via_eval: HashMap<u64, f64> = run(p, |c| {
-                    let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
-                    let res = f.evaluate(c, mine);
-                    gather_potentials(c, &res, 1)
-                })
-                .pop()
-                .expect("rank 0")
-                .into_iter()
-                .map(|(g, v)| (g, v[0]))
-                .collect();
+        let f = fmm();
+        for p in [1usize, 2, 4] {
+            let via_eval: HashMap<u64, f64> = run(p, |c| {
+                let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
+                let res = f.evaluate(c, mine);
+                gather_potentials(c, &res, 1)
+            })
+            .pop()
+            .expect("rank 0")
+            .into_iter()
+            .map(|(g, v)| (g, v[0]))
+            .collect();
 
-                let via_plan: HashMap<u64, f64> = run(p, |c| {
-                    let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
-                    let mut plan = f.plan(c, mine);
-                    let den: Vec<f64> = plan
-                        .owned_gids()
-                        .iter()
-                        .map(|g| pts[*g as usize].den[0])
-                        .collect();
-                    let mut pot = Vec::new();
-                    f.apply_into(c, &mut plan, &den, &mut pot);
-                    let pairs: Vec<(u64, f64)> =
-                        plan.owned_gids().iter().copied().zip(pot).collect();
-                    pfmm_mpisim::collectives::allgatherv(c, &pairs)
-                })
-                .pop()
-                .expect("rank 0")
-                .into_iter()
-                .collect();
+            let via_plan: HashMap<u64, f64> = run(p, |c| {
+                let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(p).copied().collect();
+                let mut plan = f.plan(c, mine);
+                let den: Vec<f64> = plan
+                    .owned_gids()
+                    .iter()
+                    .map(|g| pts[*g as usize].den[0])
+                    .collect();
+                let mut pot = Vec::new();
+                f.apply_into(c, &mut plan, &den, &mut pot);
+                let pairs: Vec<(u64, f64)> = plan.owned_gids().iter().copied().zip(pot).collect();
+                pfmm_mpisim::collectives::allgatherv(c, &pairs)
+            })
+            .pop()
+            .expect("rank 0")
+            .into_iter()
+            .collect();
 
-                assert_eq!(via_eval.len(), via_plan.len());
-                for (gid, want) in &via_eval {
-                    let got = via_plan[gid];
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "{schedule:?} p={p} gid={gid}: {got} vs {want}"
-                    );
-                }
+            assert_eq!(via_eval.len(), via_plan.len());
+            for (gid, want) in &via_eval {
+                let got = via_plan[gid];
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "p={p} gid={gid}: {got} vs {want}"
+                );
             }
         }
     }

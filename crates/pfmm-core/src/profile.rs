@@ -48,7 +48,7 @@ impl Phase {
     }
 }
 
-/// Flop models of the V-list building blocks, shared by the executors'
+/// Flop models of the V-list building blocks, shared by the executor's
 /// accounting and the modeled autotuner so every path charges the same
 /// arithmetic for the same work.
 pub mod flop_model {
@@ -147,20 +147,10 @@ pub struct Profile {
     /// exchange schedule and, on the one-shot evaluate path, the
     /// evaluation workspace.
     pub plan_secs: f64,
-    /// Compute-task seconds that executed while communication was in
-    /// flight (graph executor only; 0 under the barrier executor, which
-    /// blocks in Comm). This is wall-clock the overlap *hid* — the §III
-    /// "overlapping communication with computation" win.
-    pub overlap_secs: f64,
-    /// Seconds spent building the tiled near-field layout. Both executors
-    /// fold this into the U-list phase (it is charged once, before either
-    /// dispatches); kept separately so the attribution is testable.
+    /// Seconds spent building the tiled near-field layout. Folded into
+    /// the U-list phase (charged once, before the phases run); kept
+    /// separately so the attribution is testable.
     pub nf_build_secs: f64,
-    /// Longest dependency chain of the task graph, weighted by measured
-    /// task durations (graph executor only; 0 under the barrier
-    /// executor). A lower bound on the wall-clock of any schedule of the
-    /// same graph.
-    pub critical_path_secs: f64,
 }
 
 impl Profile {
@@ -178,8 +168,7 @@ impl Profile {
         self.flops[phase as usize] += flops;
     }
 
-    /// Charge pre-measured seconds to a phase (used by the graph
-    /// executor, which times tasks itself and attributes them here).
+    /// Charge pre-measured seconds to a phase.
     #[inline]
     pub fn add_secs(&mut self, phase: Phase, secs: f64) {
         self.secs[phase as usize] += secs;
@@ -220,8 +209,6 @@ pub struct ProfileSummary {
     pub total: (f64, f64),
     /// (max, avg) total flops.
     pub total_flops: (u64, u64),
-    /// (max, avg) compute seconds hidden behind communication.
-    pub overlap: (f64, f64),
     /// (max, avg) total setup seconds.
     pub setup: (f64, f64),
     /// (max, avg) per setup stage, in pipeline order: sort, tree+LET,
@@ -250,10 +237,6 @@ impl ProfileSummary {
         let total_flops = (
             profiles.iter().map(|p| p.total_flops()).max().unwrap_or(0),
             (profiles.iter().map(|p| p.total_flops()).sum::<u64>() as f64 / n) as u64,
-        );
-        let overlap = (
-            profiles.iter().map(|p| p.overlap_secs).fold(0.0, f64::max),
-            profiles.iter().map(|p| p.overlap_secs).sum::<f64>() / n,
         );
         let maxavg = |get: fn(&Profile) -> f64| {
             (
@@ -289,7 +272,6 @@ impl ProfileSummary {
             flops,
             total,
             total_flops,
-            overlap,
             setup,
             setup_split,
         }
@@ -330,26 +312,6 @@ impl ProfileSummary {
                 *fmax as f64,
                 *favg as f64
             ));
-        }
-        if self.overlap.0 > 0.0 {
-            s.push_str(&format!(
-                "{:<12} {:>10.2e} {:>10.2e}\n",
-                "Overlap", self.overlap.0, self.overlap.1
-            ));
-            // Fraction of the Comm phase hidden behind compute.
-            let (_, cmax, cavg) = self.secs[Phase::Comm as usize];
-            if cmax > 0.0 {
-                s.push_str(&format!(
-                    "{:<12} {:>10.1} {:>10.1}\n",
-                    "Overlap %",
-                    100.0 * self.overlap.0 / cmax,
-                    if cavg > 0.0 {
-                        100.0 * self.overlap.1 / cavg
-                    } else {
-                        0.0
-                    }
-                ));
-            }
         }
         // Achieved near-field rate (the phase the tiled engine targets):
         // flops here are real pairs via `flop_model::ulist_edge`, so the
@@ -469,20 +431,6 @@ mod tests {
             .find(|l| l.starts_with("U-list GF/s"))
             .expect("rate row present");
         assert!(rate_line.trim_end().ends_with('-'), "{rate_line:?}");
-    }
-
-    #[test]
-    fn overlap_percent_row_reports_comm_fraction() {
-        let mut p = Profile::default();
-        p.add_secs(Phase::Comm, 2.0);
-        p.overlap_secs = 1.0;
-        let s = ProfileSummary::from_ranks(&[p]);
-        let rendered = s.render();
-        let line = rendered
-            .lines()
-            .find(|l| l.starts_with("Overlap %"))
-            .expect("overlap % row present");
-        assert!(line.contains("50.0"), "{line:?}");
     }
 
     #[test]

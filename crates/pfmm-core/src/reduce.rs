@@ -189,151 +189,6 @@ pub fn reduce_scatter_hypercube(c: &Comm, l: &Let, ulen: usize, u: &mut [f64]) -
     write_back(l, ulen, u, &set)
 }
 
-/// In-flight receives of one hypercube round.
-struct RoundPending {
-    partner: usize,
-    kreq: pfmm_mpisim::RecvReq<MortonKey>,
-    dreq: pfmm_mpisim::RecvReq<f64>,
-    keys: Option<Vec<MortonKey>>,
-    dens: Option<Vec<f64>>,
-}
-
-/// Poll-driven version of [`reduce_scatter_hypercube`] for the graph
-/// scheduler's comm task: identical rounds and fold order (so the result
-/// is bitwise-equal to the blocking version), but each round's receives
-/// are posted as non-blocking requests and advanced by [`Self::poll`] —
-/// the caller's compute tasks proceed while partners are still busy.
-///
-/// Lifecycle: [`Self::begin`] captures the shared partials and posts the
-/// first round; call [`Self::poll`] until it returns `true`; then
-/// [`Self::finish`] writes the completed densities back.
-pub struct HypercubeReduceAsync {
-    set: Vec<SharedEntry>,
-    ulen: usize,
-    /// Round index, counting down; meaningful only while `pending`.
-    round: usize,
-    pending: Option<RoundPending>,
-    done: bool,
-}
-
-impl HypercubeReduceAsync {
-    /// Snapshot the shared partial densities from `u` and post the first
-    /// round.
-    ///
-    /// # Panics
-    /// Panics if `c.size()` is not a power of two.
-    pub fn begin(c: &Comm, l: &Let, ulen: usize, u: &[f64]) -> HypercubeReduceAsync {
-        let p = c.size();
-        assert!(
-            p.is_power_of_two(),
-            "Algorithm 3 requires a power-of-two communicator"
-        );
-        let mut st = HypercubeReduceAsync {
-            set: collect_shared(l, ulen, u),
-            ulen,
-            round: 0,
-            pending: None,
-            done: p == 1,
-        };
-        if !st.done {
-            st.round = p.trailing_zeros() as usize - 1;
-            st.start_round(c, l);
-        }
-        st
-    }
-
-    /// Send this round's selection to the partner, prune the working set,
-    /// and post the receives (Algorithm 3 steps 2–7).
-    fn start_round(&mut self, c: &Comm, l: &Let) {
-        let p = c.size();
-        let r = c.rank();
-        let bit = 1usize << self.round;
-        let s = r ^ bit;
-        let u_s = s & (p - bit);
-        let u_e = s | (bit - 1);
-        let dest_lo = l.region[u_s];
-        let dest_hi = l.region[u_e + 1];
-        let mut keys = Vec::new();
-        let mut dens = Vec::new();
-        for e in &self.set {
-            if intervals_overlap_range(&e.halo, dest_lo, dest_hi) {
-                keys.push(e.key);
-                dens.extend_from_slice(&e.dens);
-            }
-        }
-        c.collective(CollectiveKind::HypercubeReduce, || {
-            c.isend(s, TAG_HC_KEYS, keys).wait();
-            c.isend(s, TAG_HC_DENS, dens).wait();
-        });
-
-        let q_s = r & (p - bit);
-        let q_e = r | (bit - 1);
-        let keep_lo = l.region[q_s];
-        let keep_hi = l.region[q_e + 1];
-        self.set
-            .retain(|e| intervals_overlap_range(&e.halo, keep_lo, keep_hi));
-
-        self.pending = Some(RoundPending {
-            partner: s,
-            kreq: c.irecv::<MortonKey>(s, TAG_HC_KEYS),
-            dreq: c.irecv::<f64>(s, TAG_HC_DENS),
-            keys: None,
-            dens: None,
-        });
-    }
-
-    /// Advance in-flight receives; fold and start the next round when a
-    /// round completes. Returns `true` once every round has finished.
-    /// Never blocks.
-    pub fn poll(&mut self, c: &Comm, l: &Let) -> bool {
-        while !self.done {
-            let pend = self.pending.as_mut().expect("rounds outstanding");
-            debug_assert_eq!(pend.partner, c.rank() ^ (1 << self.round));
-            if pend.keys.is_none() {
-                pend.keys = pend.kreq.test(c);
-            }
-            if pend.dens.is_none() {
-                pend.dens = pend.dreq.test(c);
-            }
-            if pend.keys.is_none() || pend.dens.is_none() {
-                return false;
-            }
-            // Fold in the partner's contribution (steps 8–10), exactly
-            // as the blocking version does.
-            let pend = self.pending.take().expect("checked above");
-            let rkeys = pend.keys.expect("received");
-            let rdens = pend.dens.expect("received");
-            debug_assert_eq!(rdens.len(), rkeys.len() * self.ulen);
-            for (j, key) in rkeys.into_iter().enumerate() {
-                self.set.push(SharedEntry {
-                    key,
-                    halo: halo_intervals(&key),
-                    dens: rdens[j * self.ulen..(j + 1) * self.ulen].to_vec(),
-                });
-            }
-            self.set = merge_entries(std::mem::take(&mut self.set));
-            if self.round == 0 {
-                self.done = true;
-            } else {
-                self.round -= 1;
-                self.start_round(c, l);
-            }
-        }
-        true
-    }
-
-    /// Write the completed densities back; returns the number of octants
-    /// updated.
-    ///
-    /// # Panics
-    /// Panics if called before [`Self::poll`] returned `true`.
-    pub fn finish(self, l: &Let, ulen: usize, u: &mut [f64]) -> usize {
-        assert!(self.done, "finish before all rounds completed");
-        debug_assert_eq!(ulen, self.ulen);
-        write_back(l, ulen, u, &self.set)
-    }
-}
-
 /// The owner-based reduction the paper replaced: contributors send
 /// partials to each shared octant's owner (the rank whose region contains
 /// its anchor), the owner sums and sends the result to every user.
@@ -534,52 +389,6 @@ mod tests {
             let mut u = vec![0.0; l.len()];
             reduce_scatter_hypercube(c, &l, 1, &mut u);
         });
-    }
-
-    /// The poll-driven hypercube must fold rounds in exactly the order of
-    /// the blocking one — the graph executor's bitwise-equivalence
-    /// guarantee rests on this.
-    fn check_async_matches_blocking(p: usize) {
-        let ulen = 3usize;
-        run(p, |c| {
-            let pts = uniform_cube(300, 7 + c.rank() as u64, (c.rank() * 300) as u64);
-            let t = points_to_octree(c, pts, 8);
-            let l = build_let(c, &t);
-            let base = fill_partials(&l, ulen, c.rank());
-
-            let mut sync = base.clone();
-            reduce_scatter_hypercube(c, &l, ulen, &mut sync);
-
-            let mut asy = base;
-            let mut red = HypercubeReduceAsync::begin(c, &l, ulen, &asy);
-            while !red.poll(c, &l) {
-                std::thread::yield_now();
-            }
-            red.finish(&l, ulen, &mut asy);
-
-            for (i, (a, b)) in sync.iter().zip(&asy).enumerate() {
-                assert!(
-                    a.to_bits() == b.to_bits(),
-                    "rank {} elem {i}: sync {a} != async {b}",
-                    c.rank()
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn async_hypercube_matches_blocking_bitwise_p2() {
-        check_async_matches_blocking(2);
-    }
-
-    #[test]
-    fn async_hypercube_matches_blocking_bitwise_p4() {
-        check_async_matches_blocking(4);
-    }
-
-    #[test]
-    fn async_hypercube_matches_blocking_bitwise_p8() {
-        check_async_matches_blocking(8);
     }
 
     /// §III-C derives per-rank reduce-and-scatter traffic `O(m(3√p − 2))`

@@ -17,7 +17,7 @@
 //! with one [`pfmm_linalg::gemm_acc_scaled`] call, and scatter-adds the
 //! scaled product into its destination slices ([`TranslateGroup::apply`]).
 //!
-//! # Why this preserves bitwise schedule-equality
+//! # Why this preserves bitwise thread-invariance
 //!
 //! Per destination element the grouped path performs `dst += s * dot`
 //! with the dot product summed in ascending `k` by a single accumulator —
@@ -26,7 +26,7 @@
 //! `group_apply_bitwise_matches_per_box_matvec`; groups are walked in a
 //! fixed level/class/box order that fixes each destination's
 //! accumulation order). The result is independent of executor chunking,
-//! so barrier and graph schedules stay bitwise identical.
+//! so every thread count gives bitwise-identical potentials.
 //!
 //! The W/X lists and D2T are *not* groupable this way in the KIFMM: they
 //! are direct kernel evaluations against box-specific point/surface
@@ -163,7 +163,7 @@ pub struct TranslatePlan {
 impl TranslatePlan {
     /// Bucket the LET's octants. `occupied[i]` is the initial upward
     /// occupancy (owned, point-carrying leaf) — the same predicate the
-    /// executors' `mark_has_up_range` uses; U2U membership propagates it
+    /// executor's `mark_has_up_range` uses; U2U membership propagates it
     /// bottom-up level by level.
     pub fn build(l: &Let, by_level: &[Vec<u32>], occupied: &[bool]) -> TranslatePlan {
         TranslatePlan::build_with(l, by_level, occupied, SetupPar::Serial)

@@ -17,8 +17,7 @@
 //!
 //! Contents:
 //! * the phase accumulators (`u`, `has_up`, `ucheck`, `dcheck`, `d`,
-//!   `f`) that both executors fill — the graph executor temporarily
-//!   moves them into its `GraphBuf`s and restores them afterwards;
+//!   `f`) that the phases fill;
 //! * the V-list `SiblingIndex` (fft-batched mode): the local targets'
 //!   V rows regrouped by target parent, built once at creation from the
 //!   geometry alone. The kernel-spectrum table it is applied with is not
@@ -30,7 +29,7 @@
 //! * a [`ScratchPool`] of per-worker scratch (tile-eval SoA panels,
 //!   GEMM pack panels, FFT work vectors, batched-M2L accumulators and
 //!   edge batches)
-//!   checked out by the chunk kernels of either executor.
+//!   checked out by the chunk kernels.
 
 use std::sync::{Arc, Mutex};
 
@@ -45,7 +44,7 @@ use crate::nearfield::NearField;
 use crate::translate::Scratch as TranslateScratch;
 
 /// Per-worker reusable scratch, checked out of a [`ScratchPool`] by the
-/// chunk kernels (both executors). Buffers warm to their steady-state
+/// chunk kernels. Buffers warm to their steady-state
 /// sizes during the first apply and are reused thereafter.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {

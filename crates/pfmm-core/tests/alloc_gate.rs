@@ -3,10 +3,7 @@
 //!
 //! The guarantee covers the default engine selection (gemm translations,
 //! batched-FFT M2L, tiled U-list) at `threads = 1` on a single rank —
-//! the steady state an iterative solver sits in — under both the barrier
-//! schedule and the graph schedule (which delegates to the barrier path
-//! in exactly this regime, making the guarantee carry over). Two warm-up
-//! applies let every pooled buffer reach its steady-state capacity; the
+//! the steady state an iterative solver sits in. Two warm-up applies let every pooled buffer reach its steady-state capacity; the
 //! gate then counts allocator hits across five more applies and demands
 //! zero.
 //!
@@ -23,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pfmm_core::distrib::{plummer, randomize_densities};
-use pfmm_core::{Fmm, FmmConfig, Schedule};
+use pfmm_core::{Fmm, FmmConfig};
 use pfmm_kernels::{Kernel, Laplace, Stokes};
 use pfmm_mpisim::run;
 
@@ -76,21 +73,14 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// overlap with other allocating tests in this binary.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn config(schedule: Schedule) -> FmmConfig {
-    // The defaults ARE the gated configuration (fft-batched M2L,
-    // threads 1); only the schedule varies.
-    FmmConfig {
-        schedule,
-        ..Default::default()
-    }
-}
-
 /// Plan, warm up, then demand an allocation delta of exactly zero across
 /// `reps` further applies.
-fn assert_zero_alloc_steady_state(kernel: Arc<dyn Kernel>, schedule: Schedule) {
+fn assert_zero_alloc_steady_state(kernel: Arc<dyn Kernel>) {
     let name = kernel.name();
     let sd = kernel.source_dim();
-    let f = Fmm::new(kernel, config(schedule));
+    // The defaults ARE the gated configuration (fft-batched M2L,
+    // threads 1).
+    let f = Fmm::new(kernel, FmmConfig::default());
     // Plummer is centrally clustered, so the adaptive tree refines
     // unevenly and the U/V/W/X lists are all non-trivially populated.
     let mut pts = plummer(1500, 4242, 0);
@@ -118,38 +108,26 @@ fn assert_zero_alloc_steady_state(kernel: Arc<dyn Kernel>, schedule: Schedule) {
         let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
         assert_eq!(
             delta, 0,
-            "{name}/{schedule:?}: {delta} heap allocations across {reps} warm applies (want 0)"
+            "{name}: {delta} heap allocations across {reps} warm applies (want 0)"
         );
         // The gated applies are also bitwise identical to the warm-up.
         assert_eq!(warm.len(), out.len());
         for (a, b) in warm.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{name}/{schedule:?} drifted");
+            assert_eq!(a.to_bits(), b.to_bits(), "{name} drifted");
         }
     });
 }
 
 #[test]
-fn warm_apply_allocates_nothing_laplace_barrier() {
+fn warm_apply_allocates_nothing_laplace() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    assert_zero_alloc_steady_state(Arc::new(Laplace), Schedule::Barrier);
+    assert_zero_alloc_steady_state(Arc::new(Laplace));
 }
 
 #[test]
-fn warm_apply_allocates_nothing_laplace_graph() {
+fn warm_apply_allocates_nothing_stokes() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    assert_zero_alloc_steady_state(Arc::new(Laplace), Schedule::Graph);
-}
-
-#[test]
-fn warm_apply_allocates_nothing_stokes_barrier() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    assert_zero_alloc_steady_state(Arc::new(Stokes { mu: 0.9 }), Schedule::Barrier);
-}
-
-#[test]
-fn warm_apply_allocates_nothing_stokes_graph() {
-    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    assert_zero_alloc_steady_state(Arc::new(Stokes { mu: 0.9 }), Schedule::Graph);
+    assert_zero_alloc_steady_state(Arc::new(Stokes { mu: 0.9 }));
 }
 
 /// Fewest allocator calls over five warm applies, and the octant count,
@@ -163,7 +141,7 @@ fn two_thread_allocs_per_apply(n: usize) -> (u64, usize) {
             threads: 2,
             order: 4,
             q: 20,
-            ..config(Schedule::Barrier)
+            ..Default::default()
         },
     );
     let mut pts = plummer(n, 4242, 0);
@@ -215,7 +193,7 @@ fn two_thread_warm_apply_allocations_do_not_grow_with_vlist_sources() {
 #[test]
 fn memory_bytes_matches_measured_live_bytes_within_1pct() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let f = Fmm::new(Arc::new(Laplace), config(Schedule::Barrier));
+    let f = Fmm::new(Arc::new(Laplace), FmmConfig::default());
     let mut pts = plummer(2000, 999, 0);
     randomize_densities(&mut pts, 1, 3);
 

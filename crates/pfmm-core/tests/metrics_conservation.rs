@@ -5,13 +5,13 @@
 //! hold the mirror to that claim — every comm counter equals the
 //! `CommStats` cell it mirrors, with no extra cells — and verify that
 //! recording never perturbs the arithmetic (bitwise-identical
-//! potentials with metrics enabled vs disabled), under both the
-//! barrier and graph executors of a traced multi-rank run.
+//! potentials with metrics enabled vs disabled), on a traced
+//! multi-rank run.
 
 use std::sync::Arc;
 
 use pfmm_core::distrib::{randomize_densities, uniform_cube};
-use pfmm_core::{Fmm, FmmConfig, Schedule};
+use pfmm_core::{Fmm, FmmConfig};
 use pfmm_kernels::Laplace;
 use pfmm_metrics::MetricsRegistry;
 use pfmm_mpisim::CommStats;
@@ -21,7 +21,7 @@ const RANKS: usize = 3;
 
 type RankOut = (Vec<u64>, Vec<f64>, CommStats);
 
-fn run(schedule: Schedule, reg: &Arc<MetricsRegistry>) -> Vec<RankOut> {
+fn run(reg: &Arc<MetricsRegistry>) -> Vec<RankOut> {
     let mut pts = uniform_cube(1500, 11, 0);
     randomize_densities(&mut pts, 1, 0x5a);
     let fmm = Fmm::new(
@@ -29,7 +29,6 @@ fn run(schedule: Schedule, reg: &Arc<MetricsRegistry>) -> Vec<RankOut> {
         FmmConfig {
             order: 4,
             q: 40,
-            schedule,
             ..Default::default()
         },
     );
@@ -41,7 +40,7 @@ fn run(schedule: Schedule, reg: &Arc<MetricsRegistry>) -> Vec<RankOut> {
     })
 }
 
-fn assert_mirror_matches(reg: &MetricsRegistry, outs: &[RankOut], schedule_label: &str) {
+fn assert_mirror_matches(reg: &MetricsRegistry, outs: &[RankOut]) {
     let snap = reg.snapshot(0.0);
     for (rank, (_, _, comm)) in outs.iter().enumerate() {
         let r = rank.to_string();
@@ -49,11 +48,7 @@ fn assert_mirror_matches(reg: &MetricsRegistry, outs: &[RankOut], schedule_label
         assert_eq!(
             reg.counter_value(
                 "pfmm_evaluations_total",
-                &[
-                    ("kernel", "laplace"),
-                    ("rank", &r),
-                    ("schedule", schedule_label)
-                ],
+                &[("kernel", "laplace"), ("rank", &r)],
             ),
             Some(1),
             "rank {rank}: exactly one evaluation recorded"
@@ -107,39 +102,30 @@ fn assert_mirror_matches(reg: &MetricsRegistry, outs: &[RankOut], schedule_label
 }
 
 #[test]
-fn comm_mirror_matches_commstats_barrier() {
+fn comm_mirror_matches_commstats() {
     let reg = Arc::new(MetricsRegistry::new());
-    let outs = run(Schedule::Barrier, &reg);
-    assert_mirror_matches(&reg, &outs, "barrier");
-}
-
-#[test]
-fn comm_mirror_matches_commstats_graph() {
-    let reg = Arc::new(MetricsRegistry::new());
-    let outs = run(Schedule::Graph, &reg);
-    assert_mirror_matches(&reg, &outs, "graph");
+    let outs = run(&reg);
+    assert_mirror_matches(&reg, &outs);
 }
 
 #[test]
 fn potentials_bitwise_identical_with_metrics_enabled() {
-    for schedule in [Schedule::Barrier, Schedule::Graph] {
-        let on = Arc::new(MetricsRegistry::new());
-        let off = Arc::new(MetricsRegistry::new());
-        off.set_enabled(false);
-        let a = run(schedule, &on);
-        let b = run(schedule, &off);
-        assert!(!on.is_empty(), "enabled registry recorded instruments");
-        assert!(off.is_empty(), "disabled registry recorded nothing");
-        for (rank, ((ga, pa, _), (gb, pb, _))) in a.iter().zip(&b).enumerate() {
-            assert_eq!(ga, gb, "rank {rank}: ownership identical ({schedule:?})");
-            assert_eq!(pa.len(), pb.len());
-            for (i, (x, y)) in pa.iter().zip(pb).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "rank {rank} potential {i}: metrics changed bits ({schedule:?})"
-                );
-            }
+    let on = Arc::new(MetricsRegistry::new());
+    let off = Arc::new(MetricsRegistry::new());
+    off.set_enabled(false);
+    let a = run(&on);
+    let b = run(&off);
+    assert!(!on.is_empty(), "enabled registry recorded instruments");
+    assert!(off.is_empty(), "disabled registry recorded nothing");
+    for (rank, ((ga, pa, _), (gb, pb, _))) in a.iter().zip(&b).enumerate() {
+        assert_eq!(ga, gb, "rank {rank}: ownership identical");
+        assert_eq!(pa.len(), pb.len());
+        for (i, (x, y)) in pa.iter().zip(pb).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "rank {rank} potential {i}: metrics changed bits"
+            );
         }
     }
 }

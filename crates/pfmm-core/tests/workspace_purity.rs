@@ -7,22 +7,20 @@
 //! and check densities, batched-M2L spectra and accumulators, near-field
 //! density panels, pooled tile/translation scratch) is either zeroed at
 //! the top of the sweep or fully overwritten, so no bit of a previous
-//! apply can leak into the next. Pinned across both executors and four
-//! kernels (scalar, dipole, vector, screened) on a clustered adaptive
+//! apply can leak into the next. Pinned across four kernels (scalar, dipole, vector, screened) on a clustered adaptive
 //! distribution where the U/V/W/X lists are all non-trivial.
 
 use std::sync::{Arc, Mutex};
 
 use pfmm_core::distrib::plummer;
-use pfmm_core::{Fmm, FmmConfig, Schedule};
+use pfmm_core::{Fmm, FmmConfig};
 use pfmm_kernels::{Kernel, Laplace, LaplaceDipole, Stokes, Yukawa};
 use pfmm_mpisim::run;
 
-fn config(schedule: Schedule) -> FmmConfig {
+fn config() -> FmmConfig {
     FmmConfig {
         order: 3,
         q: 30,
-        schedule,
         ..Default::default()
     }
 }
@@ -46,10 +44,10 @@ fn densities(plan: &pfmm_core::FmmPlan, sd: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-fn dirty_workspace_matches_fresh(kernel: Arc<dyn Kernel>, schedule: Schedule) {
+fn dirty_workspace_matches_fresh(kernel: Arc<dyn Kernel>) {
     let name = kernel.name();
     let sd = kernel.source_dim();
-    let f = Fmm::new(kernel, config(schedule));
+    let f = Fmm::new(kernel, config());
     // Centrally clustered points force uneven refinement, so the
     // workspace's V/W/X machinery is genuinely exercised.
     let pts = plummer(500, 2026, 0);
@@ -78,42 +76,34 @@ fn dirty_workspace_matches_fresh(kernel: Arc<dyn Kernel>, schedule: Schedule) {
     .pop()
     .expect("one rank");
 
-    assert_eq!(dirty.len(), fresh.len(), "{name}/{schedule:?}");
+    assert_eq!(dirty.len(), fresh.len(), "{name}");
     for (i, (a, b)) in dirty.iter().zip(&fresh).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "{name}/{schedule:?} component {i}: dirty {a:e} vs fresh {b:e}"
+            "{name} component {i}: dirty {a:e} vs fresh {b:e}"
         );
     }
 }
 
 #[test]
 fn laplace_dirty_workspace_is_bitwise_fresh() {
-    for schedule in [Schedule::Barrier, Schedule::Graph] {
-        dirty_workspace_matches_fresh(Arc::new(Laplace), schedule);
-    }
+    dirty_workspace_matches_fresh(Arc::new(Laplace));
 }
 
 #[test]
 fn laplace_dipole_dirty_workspace_is_bitwise_fresh() {
-    for schedule in [Schedule::Barrier, Schedule::Graph] {
-        dirty_workspace_matches_fresh(Arc::new(LaplaceDipole), schedule);
-    }
+    dirty_workspace_matches_fresh(Arc::new(LaplaceDipole));
 }
 
 #[test]
 fn stokes_dirty_workspace_is_bitwise_fresh() {
-    for schedule in [Schedule::Barrier, Schedule::Graph] {
-        dirty_workspace_matches_fresh(Arc::new(Stokes { mu: 0.9 }), schedule);
-    }
+    dirty_workspace_matches_fresh(Arc::new(Stokes { mu: 0.9 }));
 }
 
 #[test]
 fn yukawa_dirty_workspace_is_bitwise_fresh() {
-    for schedule in [Schedule::Barrier, Schedule::Graph] {
-        dirty_workspace_matches_fresh(Arc::new(Yukawa { lambda: 3.0 }), schedule);
-    }
+    dirty_workspace_matches_fresh(Arc::new(Yukawa { lambda: 3.0 }));
 }
 
 /// An externally owned workspace (the serve-pool path, `apply_ws`)
@@ -121,10 +111,7 @@ fn yukawa_dirty_workspace_is_bitwise_fresh() {
 /// new plan, and the result still matches a fresh plan + apply.
 #[test]
 fn stale_external_workspace_is_rebuilt_and_bitwise_fresh() {
-    let f = Fmm::new(
-        Arc::new(Laplace) as Arc<dyn Kernel>,
-        config(Schedule::Barrier),
-    );
+    let f = Fmm::new(Arc::new(Laplace) as Arc<dyn Kernel>, config());
     let pts_a = plummer(400, 11, 0);
     let pts_b = plummer(450, 22, 0);
 

@@ -507,7 +507,7 @@ mod tests {
     fn accumulation_is_deterministic_across_calls() {
         // Splitting the sources over two eval_tiles calls in fixed order
         // must be bitwise equal to any rerun of the same split — the
-        // property the executors rely on for barrier == graph.
+        // property thread-count invariance relies on.
         let mut st = 7u64;
         let srcs: Vec<Point3> = (0..20)
             .map(|_| [lcg(&mut st), lcg(&mut st), lcg(&mut st)])

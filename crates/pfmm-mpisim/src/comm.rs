@@ -472,108 +472,10 @@ impl Comm {
         }
     }
 
-    /// Non-blocking variant of [`Comm::take_matching`]: drains everything
-    /// currently in the inbox into the pending queue (the "progress
-    /// engine" of a real MPI) and returns the matching envelope if one
-    /// has arrived.
-    fn try_take_matching(&self, src: usize, tag: u32) -> Option<Envelope> {
-        let mut pending = self.pending.borrow_mut();
-        if let Some(pos) = pending.iter().position(|e| e.src == src && e.tag == tag) {
-            return Some(pending.remove(pos).expect("position just found"));
-        }
-        while let Ok(env) = self.inbox.try_recv() {
-            if env.src == src && env.tag == tag {
-                return Some(env);
-            }
-            pending.push_back(env);
-        }
-        None
-    }
-
     /// Paired exchange with a partner rank (both sides call this).
     pub fn sendrecv<T: Wire>(&self, partner: usize, tag: u32, data: &[T]) -> Vec<T> {
         self.send(partner, tag, data);
         self.recv(partner, tag)
-    }
-
-    /// Non-blocking send of an owned vector.
-    ///
-    /// Sends in this simulator are buffered and never block, so the
-    /// request is complete on return; the handle exists so communication
-    /// code can be written against the standard `isend`/`test`/`wait`
-    /// protocol. Counters are charged here, exactly once.
-    pub fn isend<T: Wire>(&self, dest: usize, tag: u32, data: Vec<T>) -> SendReq {
-        self.send_vec(dest, tag, data);
-        SendReq(())
-    }
-
-    /// Post a non-blocking receive for a message from `src` with `tag`.
-    ///
-    /// Nothing is reserved: the returned [`RecvReq`] is a matching ticket
-    /// polled with [`RecvReq::test`] or finished with [`RecvReq::wait`].
-    /// Posting several requests for the same `(src, tag)` completes them
-    /// in send order (the non-overtaking rule applies per posted ticket).
-    pub fn irecv<T: Wire>(&self, src: usize, tag: u32) -> RecvReq<T> {
-        assert!(src < self.size, "rank {src} out of range");
-        RecvReq {
-            src,
-            tag,
-            done: false,
-            _elem: std::marker::PhantomData,
-        }
-    }
-}
-
-/// Completed-on-creation handle of a buffered [`Comm::isend`].
-#[must_use = "a request should be tested or waited on"]
-pub struct SendReq(());
-
-impl SendReq {
-    /// Always true: buffered sends complete immediately.
-    pub fn test(&self) -> bool {
-        true
-    }
-
-    /// No-op: the send already completed.
-    pub fn wait(self) {}
-}
-
-/// Handle to a posted non-blocking receive (see [`Comm::irecv`]).
-#[must_use = "a request should be tested or waited on"]
-pub struct RecvReq<T: Wire> {
-    src: usize,
-    tag: u32,
-    done: bool,
-    _elem: std::marker::PhantomData<T>,
-}
-
-impl<T: Wire> RecvReq<T> {
-    /// Poll for completion: `Some(payload)` once the message has arrived,
-    /// `None` while it is still in flight. Completing consumes the
-    /// logical request — `test` after completion panics (use-after-wait
-    /// is a programming error a real MPI would also trap).
-    ///
-    /// # Panics
-    /// Panics if the request already completed, or on element-type
-    /// mismatch with the arriving message.
-    pub fn test(&mut self, c: &Comm) -> Option<Vec<T>> {
-        assert!(!self.done, "RecvReq::test after completion");
-        let env = c.try_take_matching(self.src, self.tag)?;
-        self.done = true;
-        c.charge_recv(&env);
-        Some(*env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
-            panic!("type mismatch on irecv from {} tag {}", self.src, self.tag)
-        }))
-    }
-
-    /// Block until the message arrives and return it.
-    ///
-    /// # Panics
-    /// Panics if the request already completed.
-    pub fn wait(mut self, c: &Comm) -> Vec<T> {
-        assert!(!self.done, "RecvReq::wait after completion");
-        self.done = true;
-        c.recv(self.src, self.tag)
     }
 }
 
@@ -896,86 +798,5 @@ mod tests {
             c.sendrecv(partner, 5, &[c.rank() as u32 * 100])[0]
         });
         assert_eq!(out, vec![100, 0]);
-    }
-
-    #[test]
-    fn irecv_polls_to_completion() {
-        // Rank 1 posts the irecv before rank 0 sends (it may poll None a
-        // few times), then receives exactly the payload.
-        let out = run(2, |c| {
-            if c.rank() == 0 {
-                // Give rank 1 a chance to observe the not-yet-arrived state.
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                c.isend(1, 4, vec![7u64, 8, 9]).wait();
-                Vec::new()
-            } else {
-                let mut req = c.irecv::<u64>(0, 4);
-                loop {
-                    if let Some(v) = req.test(c) {
-                        return v;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        });
-        assert_eq!(out[1], vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn irecv_wait_blocks_until_arrival() {
-        let out = run(2, |c| {
-            if c.rank() == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                c.send(1, 6, &[42u32]);
-                0
-            } else {
-                c.irecv::<u32>(0, 6).wait(c)[0]
-            }
-        });
-        assert_eq!(out[1], 42);
-    }
-
-    #[test]
-    fn irecv_counts_traffic_once() {
-        let stats = run(2, |c| {
-            if c.rank() == 0 {
-                c.isend(1, 2, vec![0u8; 16]).wait();
-            } else {
-                let mut req = c.irecv::<u8>(0, 2);
-                while req.test(c).is_none() {
-                    std::thread::yield_now();
-                }
-            }
-            c.stats()
-        });
-        assert_eq!(stats[0].sent_msgs, 1);
-        assert_eq!(stats[0].sent_bytes, 16);
-        assert_eq!(stats[1].recv_msgs, 1);
-        assert_eq!(stats[1].recv_bytes, 16);
-    }
-
-    #[test]
-    fn irecv_does_not_steal_other_tags() {
-        // A pending irecv for tag 9 must leave tag-8 traffic for the
-        // blocking recv, in order.
-        let out = run(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 8, &[1u32]);
-                c.send(1, 9, &[2u32]);
-                c.send(1, 8, &[3u32]);
-                Vec::new()
-            } else {
-                let mut req = c.irecv::<u32>(0, 9);
-                let a = c.recv::<u32>(0, 8)[0];
-                let b = loop {
-                    if let Some(v) = req.test(c) {
-                        break v[0];
-                    }
-                };
-                let d = c.recv::<u32>(0, 8)[0];
-                vec![a, b, d]
-            }
-        });
-        assert_eq!(out[1], vec![1, 2, 3]);
     }
 }

@@ -18,6 +18,4 @@ pub mod collectives;
 pub mod comm;
 pub mod obs;
 
-pub use comm::{
-    run, CollectiveKind, Comm, CommMatrix, CommStats, PeerStats, RecvReq, SendReq, Wire,
-};
+pub use comm::{run, CollectiveKind, Comm, CommMatrix, CommStats, PeerStats, Wire};

@@ -16,8 +16,8 @@
 //! - [`cost`] — per-request time estimates from `pfmm-perfmodel`,
 //!   calibrated at startup against one measured probe.
 //! - [`pool`] — worker threads driving flushed batches through
-//!   [`pfmm_core::Fmm::apply_ws`] (and thereby the existing
-//!   barrier/graph executors), emitting per-request lifecycle spans.
+//!   [`pfmm_core::Fmm::apply_ws`] (and thereby the existing phase
+//!   executor), emitting per-request lifecycle spans.
 //! - [`loadgen`] — a seeded open/closed-loop workload generator whose
 //!   request stream (geometries, hot/cold mix, densities, priorities)
 //!   is a pure function of the seed.
@@ -28,7 +28,7 @@
 //!
 //! The serve layer adds no numerical path: a batch of one through a cold
 //! cache is bit-for-bit a plain `plan` + `apply`, and the plan-reuse
-//! property test pins that equivalence for both executors.
+//! property test pins that equivalence.
 
 pub mod cache;
 pub mod cost;

@@ -82,7 +82,7 @@ pub struct ReqSpec {
     pub geom: usize,
     /// Plan-cache key of that geometry.
     pub key: PlanFingerprint,
-    /// Scheduled arrival offset from run start, µs (open mode).
+    /// Arrival offset from run start, µs (open mode).
     pub offset_us: u64,
     /// Shedding priority.
     pub priority: u8,

@@ -5,9 +5,7 @@
 //! outside the cache lock on a miss), derives each request's densities
 //! from its seed, and drives the whole batch under a single plan lock,
 //! one [`Fmm::apply_ws`] per request against a pooled workspace — which
-//! in turn runs the configured executor (`--schedule=barrier` or the
-//! `pfmm-sched` dependency-graph executor) exactly as a standalone
-//! evaluation would.
+//! in turn runs the phases exactly as a standalone evaluation would.
 //! The serve layer adds no numerical path of its own: a batch of one
 //! through a cold plan is bit-for-bit a plain `plan` + `apply`.
 //!

@@ -3,25 +3,23 @@
 //! Every request offered to the service must be accounted for exactly
 //! once at drain: `pfmm_serve_offered_total` equals completions plus
 //! the sum of every typed rejection (deadline_infeasible / shedding /
-//! displaced), with nothing in flight. Holds under both the barrier
-//! and graph executors, and metrics recording must leave the computed
-//! potentials bitwise identical.
+//! displaced), with nothing in flight. Metrics recording must leave the
+//! computed potentials bitwise identical.
 
 use std::sync::Arc;
 
-use pfmm_core::{Fmm, FmmConfig, Schedule};
+use pfmm_core::{Fmm, FmmConfig};
 use pfmm_kernels::Laplace;
 use pfmm_metrics::MetricsRegistry;
 use pfmm_serve::{run_sim, Arrival, ObsConfig, ServiceConfig, SimConfig, WorkloadConfig};
 use pfmm_trace::Tracer;
 
-fn fmm(schedule: Schedule) -> Arc<Fmm> {
+fn fmm() -> Arc<Fmm> {
     Arc::new(Fmm::new(
         Arc::new(Laplace),
         FmmConfig {
             order: 3,
             q: 40,
-            schedule,
             ..Default::default()
         },
     ))
@@ -55,10 +53,10 @@ fn cfg(deadline_us: u64, reg: &Arc<MetricsRegistry>) -> SimConfig {
     }
 }
 
-fn balance_holds(schedule: Schedule, deadline_us: u64) -> (u64, u64) {
+fn balance_holds(deadline_us: u64) -> (u64, u64) {
     let reg = Arc::new(MetricsRegistry::new());
     let report = run_sim(
-        fmm(schedule),
+        fmm(),
         "laplace",
         cfg(deadline_us, &reg),
         Arc::new(Tracer::off()),
@@ -71,7 +69,7 @@ fn balance_holds(schedule: Schedule, deadline_us: u64) -> (u64, u64) {
         offered,
         report.completed + report.rejected(),
         "at drain every offered request completed or was rejected \
-         ({schedule:?}, deadline {deadline_us})"
+         (deadline {deadline_us})"
     );
     assert_eq!(
         reg.counter_value("pfmm_serve_completed_total", kl),
@@ -92,59 +90,38 @@ fn balance_holds(schedule: Schedule, deadline_us: u64) -> (u64, u64) {
 }
 
 #[test]
-fn offered_equals_completed_plus_rejected_barrier() {
-    let (completed, _) = balance_holds(Schedule::Barrier, 0);
+fn offered_equals_completed_plus_rejected() {
+    let (completed, _) = balance_holds(0);
     assert_eq!(completed, 24, "no deadline: everything completes");
     // A 1 µs relative deadline is infeasible for every request, so the
     // balance must hold entirely through the rejection side too.
-    let (completed, rejected) = balance_holds(Schedule::Barrier, 1);
-    assert_eq!(completed, 0, "1 µs deadline admits nothing");
-    assert_eq!(rejected, 24);
-}
-
-#[test]
-fn offered_equals_completed_plus_rejected_graph() {
-    let (completed, _) = balance_holds(Schedule::Graph, 0);
-    assert_eq!(completed, 24, "no deadline: everything completes");
-    let (completed, rejected) = balance_holds(Schedule::Graph, 1);
+    let (completed, rejected) = balance_holds(1);
     assert_eq!(completed, 0, "1 µs deadline admits nothing");
     assert_eq!(rejected, 24);
 }
 
 #[test]
 fn potentials_bitwise_identical_with_metrics_enabled() {
-    for schedule in [Schedule::Barrier, Schedule::Graph] {
-        let on = Arc::new(MetricsRegistry::new());
-        let off = Arc::new(MetricsRegistry::new());
-        off.set_enabled(false);
-        let a = run_sim(
-            fmm(schedule),
-            "laplace",
-            cfg(0, &on),
-            Arc::new(Tracer::off()),
-        );
-        let b = run_sim(
-            fmm(schedule),
-            "laplace",
-            cfg(0, &off),
-            Arc::new(Tracer::off()),
-        );
-        assert!(!on.is_empty(), "enabled registry recorded instruments");
-        let (pa, pb) = (
-            a.potentials.as_ref().expect("kept"),
-            b.potentials.as_ref().expect("kept"),
-        );
-        assert_eq!(pa.len(), pb.len());
-        for (id, va) in pa {
-            let vb = &pb[id];
-            assert_eq!(va.len(), vb.len(), "request {id} length ({schedule:?})");
-            for (x, y) in va.iter().zip(vb) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "request {id}: metrics changed bits ({schedule:?})"
-                );
-            }
+    let on = Arc::new(MetricsRegistry::new());
+    let off = Arc::new(MetricsRegistry::new());
+    off.set_enabled(false);
+    let a = run_sim(fmm(), "laplace", cfg(0, &on), Arc::new(Tracer::off()));
+    let b = run_sim(fmm(), "laplace", cfg(0, &off), Arc::new(Tracer::off()));
+    assert!(!on.is_empty(), "enabled registry recorded instruments");
+    let (pa, pb) = (
+        a.potentials.as_ref().expect("kept"),
+        b.potentials.as_ref().expect("kept"),
+    );
+    assert_eq!(pa.len(), pb.len());
+    for (id, va) in pa {
+        let vb = &pb[id];
+        assert_eq!(va.len(), vb.len(), "request {id} length");
+        for (x, y) in va.iter().zip(vb) {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "request {id}: metrics changed bits"
+            );
         }
     }
 }

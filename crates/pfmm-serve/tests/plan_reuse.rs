@@ -7,23 +7,21 @@
 //! LET, same lists, same operator pseudo-inverses), and `Fmm::apply`
 //! fixes every floating-point accumulation order, so a plan that has
 //! already served other densities must produce the same bits for a new
-//! density set as a freshly planned evaluation of it — under both the
-//! barrier and the dependency-graph executor, for a scalar (Laplace) and
-//! a vector (Stokes) kernel.
+//! density set as a freshly planned evaluation of it, for a scalar
+//! (Laplace) and a vector (Stokes) kernel.
 
 use std::sync::{Arc, Mutex};
 
-use pfmm_core::{Fmm, FmmConfig, Schedule};
+use pfmm_core::{Fmm, FmmConfig};
 use pfmm_kernels::{Kernel, Laplace, Stokes};
 use pfmm_mpisim::run;
 use pfmm_serve::{densities, density_at};
 use proptest::prelude::*;
 
-fn config(schedule: Schedule) -> FmmConfig {
+fn config() -> FmmConfig {
     FmmConfig {
         order: 3,
         q: 30,
-        schedule,
         ..Default::default()
     }
 }
@@ -33,13 +31,12 @@ fn config(schedule: Schedule) -> FmmConfig {
 /// compare against a from-scratch plan+apply of the same request.
 fn reused_equals_fresh(
     kernel: Arc<dyn Kernel>,
-    schedule: Schedule,
     n: usize,
     geom_seed: u64,
     density_seed: u64,
     pre_applies: usize,
 ) {
-    let fmm = Fmm::new(kernel, config(schedule));
+    let fmm = Fmm::new(kernel, config());
     let sd = fmm.kernel().source_dim();
     let pts = pfmm_core::distrib::uniform_cube(n, geom_seed, 0);
 
@@ -74,7 +71,7 @@ fn reused_equals_fresh(
             a.to_bits(),
             b.to_bits(),
             "component {i} differs: reused {a:e} vs fresh {b:e} \
-             (schedule {schedule:?}, n {n}, geom {geom_seed}, density {density_seed})"
+             (n {n}, geom {geom_seed}, density {density_seed})"
         );
     }
 }
@@ -89,16 +86,7 @@ proptest! {
         density_seed in 0u64..1000,
         pre_applies in 0usize..3,
     ) {
-        for schedule in [Schedule::Barrier, Schedule::Graph] {
-            reused_equals_fresh(
-                Arc::new(Laplace),
-                schedule,
-                n,
-                geom_seed,
-                density_seed,
-                pre_applies,
-            );
-        }
+        reused_equals_fresh(Arc::new(Laplace), n, geom_seed, density_seed, pre_applies);
     }
 
     #[test]
@@ -108,16 +96,13 @@ proptest! {
         density_seed in 0u64..1000,
         pre_applies in 0usize..2,
     ) {
-        for schedule in [Schedule::Barrier, Schedule::Graph] {
-            reused_equals_fresh(
-                Arc::new(Stokes::default()),
-                schedule,
-                n,
-                geom_seed,
-                density_seed,
-                pre_applies,
-            );
-        }
+        reused_equals_fresh(
+            Arc::new(Stokes::default()),
+            n,
+            geom_seed,
+            density_seed,
+            pre_applies,
+        );
     }
 }
 
@@ -130,7 +115,7 @@ fn warm_cache_service_matches_standalone_evaluation() {
     use pfmm_serve::{Batch, Executor, PlanCache, Request};
     use pfmm_trace::Tracer;
 
-    let fmm = Arc::new(Fmm::new(Arc::new(Laplace), config(Schedule::Barrier)));
+    let fmm = Arc::new(Fmm::new(Arc::new(Laplace), config()));
     let pts = pfmm_core::distrib::uniform_cube(300, 77, 0);
     let key = plan_fingerprint("laplace", fmm.config(), 1, &pts);
     let exec = Executor {
@@ -197,7 +182,7 @@ fn pool_of_one_serializes_concurrent_batches_bitwise() {
     use pfmm_serve::{Batch, Executor, PlanCache, Request, WorkspacePool};
     use pfmm_trace::Tracer;
 
-    let fmm = Arc::new(Fmm::new(Arc::new(Laplace), config(Schedule::Barrier)));
+    let fmm = Arc::new(Fmm::new(Arc::new(Laplace), config()));
     let pts = pfmm_core::distrib::uniform_cube(250, 91, 0);
     let key = plan_fingerprint("laplace", fmm.config(), 1, &pts);
     let mk_exec = |pool_cap: usize| Executor {

@@ -10,11 +10,10 @@
 //! - [`chrome`] — Chrome trace-event JSON (`chrome://tracing` /
 //!   [Perfetto](https://ui.perfetto.dev) compatible): one pid per
 //!   simulated rank, one tid per worker lane, flow events rendering
-//!   message sends and task dependencies as arrows.
+//!   message sends as arrows.
 //! - [`binfmt`] — a compact self-describing binary encoding for tests.
-//! - [`metrics`] — load imbalance, per-lane Gantt utilization,
-//!   comm∩compute overlap, critical path, and the comm matrix, all
-//!   derived purely from events.
+//! - [`metrics`] — load imbalance, per-lane Gantt utilization and the
+//!   comm matrix, all derived purely from events.
 //!
 //! Recording is zero-cost when off: every hook is gated on
 //! [`Tracer::enabled`] (an inline level compare), and the `noop` cargo
@@ -42,8 +41,7 @@ pub enum TraceLevel {
     Off,
     /// One span per FMM phase per rank, plus GPU pipeline stages.
     Phase,
-    /// Plus one span per scheduled task / executor chunk, with
-    /// dependency-edge flow events and counter payloads.
+    /// Plus one span per executor chunk, with counter payloads.
     Task,
     /// Plus per-message send/recv instants with flow arrows linking a
     /// send to its matching recv.
@@ -103,7 +101,7 @@ pub struct Event {
     pub kind: EventKind,
     /// Display name (phase label, task label, "send", ...).
     pub name: Str,
-    /// Category: "phase", "task", "comm", "sched", "gpu", "setup".
+    /// Category: "phase", "task", "comm", "gpu", "setup".
     pub cat: Str,
     /// Simulated rank (Chrome pid).
     pub rank: u32,
@@ -210,11 +208,6 @@ impl Tracer {
     #[inline]
     pub fn alloc_flow(&self) -> u64 {
         self.next_flow.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Allocate a contiguous block of `n` flow ids; returns the first.
-    pub fn alloc_flows(&self, n: u64) -> u64 {
-        self.next_flow.fetch_add(n, Ordering::Relaxed)
     }
 
     /// Record a single event (one mutex acquisition; prefer [`Local`]
@@ -466,8 +459,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 400);
-        let base = t.alloc_flows(10);
-        assert_eq!(t.alloc_flow(), base + 10);
     }
 
     #[test]

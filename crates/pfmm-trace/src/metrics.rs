@@ -29,11 +29,6 @@ impl Span {
     pub fn secs(&self) -> f64 {
         (self.t1_us - self.t0_us) / 1e6
     }
-
-    /// Value of an integer arg, if present.
-    pub fn arg(&self, key: &str) -> Option<u64> {
-        self.args.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
 }
 
 /// Pair `Begin`/`End` events into spans (LIFO per `(rank, tid)` lane).
@@ -179,106 +174,6 @@ fn merged_len(mut ivs: Vec<(f64, f64)>) -> f64 {
         total += y - x;
     }
     total
-}
-
-/// Compute∩comm overlap for one rank, in seconds: the union of the
-/// rank's `cat=="comm"` spans intersected with each of its `cat=="task"`
-/// spans. This is the same merge-then-intersect the graph executor uses
-/// for `RunReport::overlap_secs`, so on a traced graph run the two agree
-/// to rounding (the consistency test asserts 1e-9).
-pub fn overlap_secs(events: &[Event], rank: u32) -> f64 {
-    let spans = spans(events);
-    let mut comm: Vec<(f64, f64)> = spans
-        .iter()
-        .filter(|s| s.rank == rank && s.cat == "comm")
-        .map(|s| (s.t0_us, s.t1_us))
-        .collect();
-    comm.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut merged: Vec<(f64, f64)> = Vec::new();
-    for (a, b) in comm {
-        match merged.last_mut() {
-            Some(last) if last.1 >= a => last.1 = last.1.max(b),
-            _ => merged.push((a, b)),
-        }
-    }
-    let mut overlap_us = 0.0;
-    for s in spans.iter().filter(|s| s.rank == rank && s.cat == "task") {
-        for &(a, b) in &merged {
-            if a > s.t1_us {
-                break;
-            }
-            let lo = a.max(s.t0_us);
-            let hi = b.min(s.t1_us);
-            if hi > lo {
-                overlap_us += hi - lo;
-            }
-        }
-    }
-    overlap_us / 1e6
-}
-
-/// Critical-path estimate for one rank's task graph, in seconds: the
-/// longest dependency chain through the rank's task/comm spans (spans
-/// carrying a `task` arg), with edges taken from the scheduler's
-/// dependency flow events (`cat=="sched"`, args `src`/`dst`). This is a
-/// lower bound on the rank's achievable wall-clock at infinite
-/// parallelism.
-pub fn critical_path_secs(events: &[Event], rank: u32) -> f64 {
-    let mut dur: HashMap<u64, f64> = HashMap::new();
-    for s in spans(events) {
-        if s.rank != rank {
-            continue;
-        }
-        if let Some(id) = s.arg("task") {
-            *dur.entry(id).or_default() += s.secs();
-        }
-    }
-    let mut edges: Vec<(u64, u64)> = Vec::new();
-    for e in events {
-        if e.kind == EventKind::FlowStart && e.cat == "sched" && e.rank == rank {
-            let src = e.args.iter().find(|(k, _)| k == "src").map(|(_, v)| *v);
-            let dst = e.args.iter().find(|(k, _)| k == "dst").map(|(_, v)| *v);
-            if let (Some(s), Some(d)) = (src, dst) {
-                edges.push((s, d));
-            }
-        }
-    }
-    // Longest path over the DAG via Kahn ordering.
-    let mut indeg: HashMap<u64, usize> = dur.keys().map(|&k| (k, 0)).collect();
-    let mut children: HashMap<u64, Vec<u64>> = HashMap::new();
-    for &(s, d) in &edges {
-        if dur.contains_key(&s) && dur.contains_key(&d) {
-            *indeg.entry(d).or_default() += 1;
-            children.entry(s).or_default().push(d);
-        }
-    }
-    let mut finish: HashMap<u64, f64> = HashMap::new();
-    let mut queue: Vec<u64> = indeg
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&k, _)| k)
-        .collect();
-    queue.sort_unstable();
-    let mut head = 0;
-    let mut best = 0.0f64;
-    while head < queue.len() {
-        let t = queue[head];
-        head += 1;
-        let f = finish.get(&t).copied().unwrap_or(0.0) + dur[&t];
-        best = best.max(f);
-        if let Some(cs) = children.get(&t) {
-            for &c in cs {
-                let e = finish.entry(c).or_default();
-                *e = e.max(f);
-                let d = indeg.get_mut(&c).expect("child seen in indeg");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push(c);
-                }
-            }
-        }
-    }
-    best
 }
 
 /// Sub-buckets per power of two in a [`Histogram`] (the HDR-style
@@ -548,7 +443,7 @@ pub fn comm_matrix(events: &[Event]) -> CommMatrixCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Str, TraceLevel, Tracer};
+    use crate::{TraceLevel, Tracer};
     use std::borrow::Cow;
     use std::sync::Arc;
 
@@ -570,11 +465,6 @@ mod tests {
             flow: 0,
             args: Vec::new(),
         }
-    }
-
-    fn with_arg(mut e: Event, k: &'static str, v: u64) -> Event {
-        e.args.push((Cow::Borrowed(k) as Str, v));
-        e
     }
 
     #[test]
@@ -624,42 +514,6 @@ mod tests {
         let lane = u.iter().find(|l| l.tid == 1).unwrap();
         assert!((lane.busy_secs - 3.0).abs() < 1e-12);
         assert!((lane.utilization - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_merges_comm_windows() {
-        // comm windows [0,4]∪[3,6] merge to [0,6]; task [2,8] overlaps 4.
-        let evs = vec![
-            span_ev(EventKind::Begin, "Comm.", "comm", 0, 900, 0.0),
-            span_ev(EventKind::End, "", "", 0, 900, 4e6),
-            span_ev(EventKind::Begin, "Comm.", "comm", 0, 901, 3e6),
-            span_ev(EventKind::End, "", "", 0, 901, 6e6),
-            span_ev(EventKind::Begin, "V-list", "task", 0, 1, 2e6),
-            span_ev(EventKind::End, "", "", 0, 1, 8e6),
-            // Other rank's comm must not count.
-            span_ev(EventKind::Begin, "Comm.", "comm", 1, 900, 0.0),
-            span_ev(EventKind::End, "", "", 1, 900, 9e6),
-        ];
-        assert!((overlap_secs(&evs, 0) - 4.0).abs() < 1e-12);
-        assert_eq!(overlap_secs(&evs, 1), 0.0);
-    }
-
-    #[test]
-    fn critical_path_follows_edges() {
-        // 0 (2s) -> 1 (1s); 2 (2.5s) independent => cp = 3s.
-        let mut evs = vec![
-            with_arg(span_ev(EventKind::Begin, "a", "task", 0, 1, 0.0), "task", 0),
-            span_ev(EventKind::End, "", "", 0, 1, 2e6),
-            with_arg(span_ev(EventKind::Begin, "b", "task", 0, 2, 2e6), "task", 1),
-            span_ev(EventKind::End, "", "", 0, 2, 3e6),
-            with_arg(span_ev(EventKind::Begin, "c", "task", 0, 1, 2e6), "task", 2),
-            span_ev(EventKind::End, "", "", 0, 1, 4.5e6),
-        ];
-        let mut flow = span_ev(EventKind::FlowStart, "dep", "sched", 0, 1, 2e6);
-        flow.flow = 1;
-        let flow = with_arg(with_arg(flow, "src", 0), "dst", 1);
-        evs.push(flow);
-        assert!((critical_path_secs(&evs, 0) - 3.0).abs() < 1e-12);
     }
 
     #[test]

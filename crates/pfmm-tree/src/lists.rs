@@ -108,11 +108,6 @@ pub struct Lists {
 }
 
 impl Lists {
-    /// Sum of list lengths for octant `i` (used in work estimates).
-    pub fn degree(&self, i: usize) -> usize {
-        self.u.row(i).len() + self.v.row(i).len() + self.w.row(i).len() + self.x.row(i).len()
-    }
-
     /// Heap bytes held by the four CSRs.
     pub fn memory_bytes(&self) -> usize {
         self.u.memory_bytes()

@@ -3,14 +3,13 @@
 //! the cross-rank flow arrows that make the hypercube rounds visible,
 //! must agree *exactly* with the mpisim traffic counters, and — the
 //! invariant everything else leans on — must not perturb the numerics:
-//! barrier and graph schedules stay bitwise identical at every trace
-//! level.
+//! potentials stay bitwise identical at every trace level.
 
 use std::sync::Arc;
 
 use pfmm::fmm::distrib::{randomize_densities, uniform_cube};
 use pfmm::fmm::driver::gather_potentials;
-use pfmm::fmm::{Fmm, FmmConfig, Reduction, Schedule};
+use pfmm::fmm::{Fmm, FmmConfig, Reduction};
 use pfmm::kernels::Laplace;
 use pfmm::mpisim::{self, CommMatrix, CommStats};
 use pfmm::trace::{chrome, metrics, Event, TraceLevel, Tracer};
@@ -24,12 +23,11 @@ fn cloud(n: usize) -> Vec<PointRec> {
     pts
 }
 
-fn cfg(schedule: Schedule) -> FmmConfig {
+fn cfg() -> FmmConfig {
     FmmConfig {
         order: 4,
         q: 40,
         threads: 2,
-        schedule,
         reduction: Reduction::Hypercube,
         ..Default::default()
     }
@@ -55,7 +53,7 @@ fn run_traced(
 
 #[test]
 fn comm_trace_carries_flow_arrows_for_every_hypercube_round() {
-    let fmm = Fmm::new(Arc::new(Laplace), cfg(Schedule::Graph));
+    let fmm = Fmm::new(Arc::new(Laplace), cfg());
     let pts = cloud(1600);
     let tracer = Arc::new(Tracer::new(TraceLevel::Comm));
     let (_, events) = run_traced(&fmm, &pts, &tracer);
@@ -86,7 +84,7 @@ fn comm_trace_carries_flow_arrows_for_every_hypercube_round() {
 
 #[test]
 fn trace_derived_comm_matrix_matches_mpisim_counters_exactly() {
-    let fmm = Fmm::new(Arc::new(Laplace), cfg(Schedule::Graph));
+    let fmm = Fmm::new(Arc::new(Laplace), cfg());
     let pts = cloud(1600);
     let tracer = Arc::new(Tracer::new(TraceLevel::Comm));
     let (out, events) = run_traced(&fmm, &pts, &tracer);
@@ -111,65 +109,34 @@ fn trace_derived_comm_matrix_matches_mpisim_counters_exactly() {
 }
 
 #[test]
-fn schedules_stay_bitwise_identical_at_every_trace_level() {
+fn potentials_stay_bitwise_identical_at_every_trace_level() {
     let pts = cloud(1200);
-    let baseline = {
-        let fmm = Fmm::new(Arc::new(Laplace), cfg(Schedule::Barrier));
-        mpisim::run(P, |c| {
-            let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(P).copied().collect();
-            gather_potentials(c, &fmm.evaluate(c, mine), 1)
-        })[0]
-            .clone()
-    };
+    let fmm = Fmm::new(Arc::new(Laplace), cfg());
+    let baseline = mpisim::run(P, |c| {
+        let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(P).copied().collect();
+        gather_potentials(c, &fmm.evaluate(c, mine), 1)
+    })[0]
+        .clone();
     for level in [
         TraceLevel::Off,
         TraceLevel::Phase,
         TraceLevel::Task,
         TraceLevel::Comm,
     ] {
-        for schedule in [Schedule::Barrier, Schedule::Graph] {
-            let fmm = Fmm::new(Arc::new(Laplace), cfg(schedule));
-            let tracer = Arc::new(Tracer::new(level));
-            let (out, _) = run_traced(&fmm, &pts, &tracer);
-            // Bitwise, not approximate: tracing wraps the phase closures
-            // from the outside and must never reorder a flop.
-            assert_eq!(
-                out[0].0, baseline,
-                "{schedule:?} at {level:?} diverged from the untraced barrier run"
-            );
-        }
-    }
-}
-
-#[test]
-fn profile_overlap_matches_span_derived_comm_compute_intersection() {
-    let fmm = Fmm::new(Arc::new(Laplace), cfg(Schedule::Graph));
-    let pts = cloud(2000);
-    let tracer = Arc::new(Tracer::new(TraceLevel::Comm));
-    let out = mpisim::run(P, |c| {
-        let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(P).copied().collect();
-        fmm.evaluate_observed(c, mine, &tracer, pfmm_metrics::global())
-            .profile
-            .clone()
-    });
-    let events = tracer.drain();
-    for (rank, prof) in out.iter().enumerate() {
-        // Same merge-then-intersect computed two independent ways: the
-        // graph executor's interval accounting (Profile::overlap_secs)
-        // and the metrics module working from the recorded spans.
-        let from_spans = metrics::overlap_secs(&events, rank as u32);
-        assert!(
-            (prof.overlap_secs - from_spans).abs() < 1e-9,
-            "rank {rank}: profile overlap {} vs span-derived {}",
-            prof.overlap_secs,
-            from_spans
+        let tracer = Arc::new(Tracer::new(level));
+        let (out, _) = run_traced(&fmm, &pts, &tracer);
+        // Bitwise, not approximate: tracing wraps the phase closures
+        // from the outside and must never reorder a flop.
+        assert_eq!(
+            out[0].0, baseline,
+            "{level:?} diverged from the untraced run"
         );
     }
 }
 
 #[test]
 fn off_tracer_records_nothing() {
-    let fmm = Fmm::new(Arc::new(Laplace), cfg(Schedule::Graph));
+    let fmm = Fmm::new(Arc::new(Laplace), cfg());
     let pts = cloud(800);
     let tracer = Arc::new(Tracer::off());
     let (out, events) = run_traced(&fmm, &pts, &tracer);
