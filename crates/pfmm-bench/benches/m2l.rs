@@ -1,5 +1,5 @@
 //! Micro-benchmark of the central FMM design choice: one V-list
-//! interaction via the dense operator vs the FFT diagonalization
+//! interaction via the dense operator vs the batched FFT diagonalization
 //! (per-application cost; the harness binary `ablation_m2l` measures the
 //! whole phase).
 
@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pfmm_core::m2l_batched::{offset_index, EdgeBatch, FftBatchedM2l, BATCH_TARGETS};
-use pfmm_core::m2l_fft::FftM2l;
 use pfmm_core::ops::Ops;
 use pfmm_core::small_dft::{DftScratch, PrunedDft3};
 use pfmm_core::surface::surface_grid_indices;
@@ -19,8 +18,7 @@ fn bench_m2l(c: &mut Criterion) {
     let mut g = c.benchmark_group("m2l");
 
     for order in [4usize, 6] {
-        let ops = Ops::new(Arc::new(Laplace), order, 1e-12);
-        let eng = FftM2l::new(Arc::new(Laplace), order);
+        let ops = Ops::new(Arc::new(Laplace), order);
         let nd = ops.density_len();
         let u: Vec<f64> = (0..nd).map(|i| (i as f64 * 0.13).sin()).collect();
         let offset = [2i8, -1, 3];
@@ -32,27 +30,6 @@ fn bench_m2l(c: &mut Criterion) {
         g.bench_function(format!("dense_apply_order{order}"), |b| {
             b.iter(|| m.matvec_acc_scaled(black_box(&u), black_box(&mut dcheck), s))
         });
-
-        // FFT: the Hadamard accumulate per interaction (source transform
-        // and target inverse amortize over the whole V-list).
-        let uhat = eng.source_spectrum(&u);
-        let (khat, scale) = eng.kernel_spectrum(level, offset);
-        let mut acc = eng.new_accumulator();
-        g.bench_function(format!("fft_hadamard_order{order}"), |b| {
-            b.iter(|| {
-                eng.accumulate(
-                    black_box(&mut acc),
-                    black_box(&khat),
-                    black_box(&uhat),
-                    scale,
-                )
-            })
-        });
-
-        // The amortized ends of the FFT path.
-        g.bench_function(format!("fft_source_transform_order{order}"), |b| {
-            b.iter(|| black_box(eng.source_spectrum(black_box(&u))))
-        });
     }
 
     // Batched half-spectrum path: the sibling-blocked Hadamard for one
@@ -61,7 +38,7 @@ fn bench_m2l(c: &mut Criterion) {
     // edges — and for one interior sibling group (all 26 colleagues,
     // 1512 child edges). Divide by the edge count for µs per child edge.
     for order in [4usize, 6, 8] {
-        let ops = Ops::new(Arc::new(Laplace), order, 1e-12);
+        let ops = Ops::new(Arc::new(Laplace), order);
         let eng = FftBatchedM2l::new(Arc::new(Laplace), order);
         let nd = ops.density_len();
         let level = 4u32;

@@ -335,7 +335,6 @@ fn config_of(args: &Args) -> Result<FmmConfig, String> {
             "bitonic" => SortKind::Bitonic,
             other => return Err(format!("unknown sort backend '{other}'")),
         },
-        ..Default::default()
     })
 }
 

@@ -70,8 +70,6 @@ pub struct FmmConfig {
     pub q: usize,
     /// V-list evaluation mode.
     pub m2l: M2lMode,
-    /// Relative truncation of the check→equivalent pseudo-inverses.
-    pub pinv_tol: f64,
     /// Run the work-weighted repartition of §III-B (only meaningful for
     /// more than one rank).
     pub balance: bool,
@@ -93,7 +91,6 @@ impl Default for FmmConfig {
             order: 6,
             q: 64,
             m2l: M2lMode::FftBatched,
-            pinv_tol: 1e-12,
             balance: true,
             reduction: Reduction::Auto,
             threads: 1,
@@ -148,7 +145,7 @@ pub struct Fmm {
 impl Fmm {
     /// Create an evaluator.
     pub fn new(kernel: Arc<dyn Kernel>, cfg: FmmConfig) -> Fmm {
-        let ops = Ops::new(kernel.clone(), cfg.order, cfg.pinv_tol);
+        let ops = Ops::new(kernel.clone(), cfg.order);
         let fftb = FftBatchedM2l::new(kernel.clone(), cfg.order);
         Fmm {
             kernel,

@@ -219,6 +219,23 @@ unsafe fn scatter_chunks(
     }
 }
 
+/// The `[(kx·n + ky)·h + kz]`-ordered half spectrum of component `comp`
+/// of item `item` in chunk-major blocks `[chunk][item][component]`
+/// (`items` items of `width` components).
+fn plane(
+    blocks: &[Lanes],
+    items: usize,
+    width: usize,
+    item: usize,
+    comp: usize,
+) -> impl Iterator<Item = (f64, f64)> + '_ {
+    blocks
+        .iter()
+        .skip(item * width + comp)
+        .step_by(items * width)
+        .flat_map(|b| (0..LANES).map(move |l| (b.re[l], b.im[l])))
+}
+
 /// The kernel spectra of every V-list transfer vector, shared by every
 /// plan, rank and workspace of one [`crate::Fmm`]: per built level,
 /// `[chunk][offset][tc·sd + sc]` blocks (`N_OFFSETS·td·sd` per chunk).
@@ -228,17 +245,20 @@ unsafe fn scatter_chunks(
 pub struct SpectraTable {
     /// Homogeneity degree; `Some` means entry 0 serves every level.
     homogeneity: Option<f64>,
+    /// Component pairs per transfer vector (`td·sd`).
+    pairs: usize,
     levels: Vec<OnceLock<Vec<Lanes>>>,
 }
 
 impl SpectraTable {
-    fn new(homogeneity: Option<f64>) -> SpectraTable {
+    fn new(homogeneity: Option<f64>, pairs: usize) -> SpectraTable {
         let n = match homogeneity {
             Some(_) => 1,
             None => pfmm_morton::MAX_DEPTH as usize + 1,
         };
         SpectraTable {
             homogeneity,
+            pairs,
             levels: (0..n).map(|_| OnceLock::new()).collect(),
         }
     }
@@ -263,6 +283,20 @@ impl SpectraTable {
         (k, scale)
     }
 
+    /// The half spectrum of component pair `pair` (`tc·sd + sc`) of
+    /// transfer vector `offset` ([`offset_index`]) for targets at `level`,
+    /// in `[(kx·n + ky)·h + kz]` order, and the level's scale. Panics if the
+    /// level was not built.
+    pub fn spectrum(
+        &self,
+        level: u32,
+        offset: usize,
+        pair: usize,
+    ) -> (impl Iterator<Item = (f64, f64)> + '_, f64) {
+        let (k, scale) = self.get(level);
+        (plane(k, N_OFFSETS, self.pairs, offset, pair), scale)
+    }
+
     /// Heap bytes held by the built spectrum sets (counted once per
     /// `Fmm`, not per plan or workspace).
     pub fn memory_bytes(&self) -> usize {
@@ -285,6 +319,8 @@ pub struct SourceSpectra {
     idx: Vec<u32>,
     blocks: Vec<Lanes>,
     nsrc: usize,
+    /// Components per source.
+    sd: usize,
 }
 
 impl SourceSpectra {
@@ -295,6 +331,7 @@ impl SourceSpectra {
             idx: Vec::new(),
             blocks: Vec::new(),
             nsrc: 0,
+            sd: 0,
         }
     }
 
@@ -310,6 +347,12 @@ impl SourceSpectra {
         let s = self.idx[oct];
         debug_assert_ne!(s, u32::MAX, "octant was not transformed");
         s
+    }
+
+    /// The half spectrum of component `comp` of source `s`
+    /// ([`Self::index`]), in `[(kx·n + ky)·h + kz]` order.
+    pub fn spectrum(&self, s: u32, comp: usize) -> impl Iterator<Item = (f64, f64)> + '_ {
+        plane(&self.blocks, self.nsrc, self.sd, s as usize, comp)
     }
 }
 
@@ -602,7 +645,10 @@ impl FftBatchedM2l {
     /// No spectrum is built until [`Self::ensure_levels`].
     pub fn new(kernel: Arc<dyn Kernel>, order: usize) -> FftBatchedM2l {
         let n = 2 * order;
-        let table = SpectraTable::new(kernel.homogeneity());
+        let table = SpectraTable::new(
+            kernel.homogeneity(),
+            kernel.target_dim() * kernel.source_dim(),
+        );
         FftBatchedM2l {
             kernel,
             order,
@@ -773,6 +819,7 @@ impl FftBatchedM2l {
         let (sd, gh) = (self.sd(), self.spectrum_len());
         let nsrc = sources.len();
         out.nsrc = nsrc;
+        out.sd = sd;
         out.idx.clear();
         out.idx.resize(noct, u32::MAX);
         for (s, &ai) in sources.iter().enumerate() {
@@ -878,19 +925,33 @@ impl FftBatchedM2l {
     /// (`n_surf·td`).
     pub fn finish(&self, scratch: &mut BatchScratch, slot: usize, dcheck: &mut [f64]) {
         let gh = self.spectrum_len();
-        let td = self.td();
-        debug_assert_eq!(dcheck.len(), self.surf_idx.len() * td);
         let lo = slot * scratch.stride;
-        for tc in 0..td {
-            self.dft.inverse_at(
+        for tc in 0..self.td() {
+            self.finish_component(
                 &scratch.acc_re[lo + tc * gh..lo + (tc + 1) * gh],
                 &scratch.acc_im[lo + tc * gh..lo + (tc + 1) * gh],
-                &self.surf_idx,
-                &mut dcheck[tc..],
-                td,
+                tc,
+                dcheck,
                 &mut scratch.dft,
             );
         }
+    }
+
+    /// Inverse-transform the half spectrum `re`/`im` of one target
+    /// component `tc` at the surface points and add the values into that
+    /// component of the packed downward check potential (`n_surf·td`).
+    pub fn finish_component(
+        &self,
+        re: &[f64],
+        im: &[f64],
+        tc: usize,
+        dcheck: &mut [f64],
+        sc: &mut DftScratch,
+    ) {
+        let td = self.td();
+        debug_assert_eq!(dcheck.len(), self.surf_idx.len() * td);
+        self.dft
+            .inverse_at(re, im, &self.surf_idx, &mut dcheck[tc..], td, sc);
     }
 
     /// Flops for one edge's half-spectrum Hadamard accumulation.
@@ -1035,7 +1096,7 @@ mod tests {
     /// half-spectrum path against the dense operators: one source, one
     /// target per offset, 32 targets per batch.
     fn sweep_all_offsets(kernel: Arc<dyn Kernel>, order: usize, level: u32) {
-        let ops = Ops::new(kernel.clone(), order, 1e-12);
+        let ops = Ops::new(kernel.clone(), order);
         let eng = FftBatchedM2l::new(kernel, order);
         let offsets = all_offsets();
         assert_eq!(offsets.len(), N_OFFSETS);

@@ -30,6 +30,10 @@ use crate::surface::{
 };
 use pfmm_tree::SetupPar;
 
+/// Relative truncation of the check→equivalent pseudo-inverses (UC2E,
+/// DC2E): singular values below this fraction of the largest are dropped.
+pub const PINV_REL_TOL: f64 = 1e-12;
+
 /// Half-width of a level-`l` octant of the unit cube.
 #[inline]
 pub fn level_radius(level: u32) -> f64 {
@@ -72,7 +76,6 @@ type OffsetCache<T> = Mutex<HashMap<(u32, [i8; 3]), Arc<T>>>;
 pub struct Ops {
     kernel: Arc<dyn Kernel>,
     order: usize,
-    rel_tol: f64,
     homogeneity: Option<f64>,
     /// Unit surface node coordinates, stamped per box by the `_into`
     /// surface methods (the executor's per-box hot paths).
@@ -86,14 +89,13 @@ pub struct Ops {
 
 impl Ops {
     /// Create a cache for `kernel` at surface order `order`, truncating
-    /// pseudo-inverse singular values below `rel_tol` (relative).
-    pub fn new(kernel: Arc<dyn Kernel>, order: usize, rel_tol: f64) -> Ops {
+    /// pseudo-inverse singular values below [`PINV_REL_TOL`].
+    pub fn new(kernel: Arc<dyn Kernel>, order: usize) -> Ops {
         assert!(order >= 2, "surface order must be at least 2");
         let homogeneity = kernel.homogeneity();
         Ops {
             kernel,
             order,
-            rel_tol,
             homogeneity,
             template: surface_template(order),
             uc2e: Mutex::new(HashMap::new()),
@@ -196,7 +198,7 @@ impl Ops {
                 &self.up_check_surface(&c, r),
                 &self.up_equiv_surface(&c, r),
             );
-            pinv(&k, self.rel_tol)
+            pinv(&k, PINV_REL_TOL)
         });
         (m, scale)
     }
@@ -212,7 +214,7 @@ impl Ops {
                 &self.down_check_surface(&c, r),
                 &self.down_equiv_surface(&c, r),
             );
-            pinv(&k, self.rel_tol)
+            pinv(&k, PINV_REL_TOL)
         });
         (m, scale)
     }
@@ -377,7 +379,7 @@ mod tests {
     }
 
     fn ops(order: usize) -> Ops {
-        Ops::new(Arc::new(Laplace), order, 1e-12)
+        Ops::new(Arc::new(Laplace), order)
     }
 
     /// Far-field accuracy of the S2U compression: the equivalent density
@@ -572,8 +574,8 @@ mod tests {
     /// Homogeneous rescaling must agree with direct per-level computation.
     #[test]
     fn homogeneous_scaling_matches_per_level() {
-        let hom = Ops::new(Arc::new(Laplace), 4, 1e-12);
-        let noh = Ops::new(Arc::new(LaplaceNoHom), 4, 1e-12);
+        let hom = Ops::new(Arc::new(Laplace), 4);
+        let noh = Ops::new(Arc::new(LaplaceNoHom), 4);
         for level in [1u32, 2, 5] {
             let (mh, sh) = hom.m2l(level, [2, -2, 1]);
             let (mn, sn) = noh.m2l(level, [2, -2, 1]);
@@ -601,7 +603,7 @@ mod tests {
 
     #[test]
     fn stokes_operator_shapes() {
-        let o = Ops::new(Arc::new(Stokes::default()), 4, 1e-10);
+        let o = Ops::new(Arc::new(Stokes::default()), 4);
         let n = surface_size(4);
         assert_eq!(o.density_len(), 3 * n);
         let (uc2e, _) = o.uc2e(2);

@@ -93,7 +93,6 @@ pub fn plan_fingerprint(
     h.write_u64(cfg.order as u64);
     h.write_u64(cfg.q as u64);
     h.write_u64(cfg.m2l as u64);
-    h.write_u64(cfg.pinv_tol.to_bits());
     h.write_u64(cfg.balance as u64);
     h.write_u64(cfg.reduction as u64);
     h.write_u64(cfg.sort as u64);

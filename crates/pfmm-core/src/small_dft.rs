@@ -17,7 +17,7 @@
 //! works for every even `n`. Each axis pass is a split-complex
 //! multiply-accumulate over contiguous rows, the shape LLVM vectorizes.
 //!
-//! Conventions match [`pfmm_fft::RFft3`], which stays the test oracle:
+//! Conventions match `pfmm_fft::RFft3`, which stays the test oracle:
 //! grids are `[(x·e + y)·e + z]`, z fastest; half spectra are
 //! `[(kx·n + ky)·h + kz]` with `h = n/2 + 1`; the forward transform is
 //! unnormalized and the inverse carries `1/n³`.

@@ -14,19 +14,29 @@
 //! Both columns derive from *measured* flop/byte tallies of the real
 //! computation, so their ratio — the paper's 25–30× claim — is a model
 //! statement only about 2009 hardware throughput, not about this host.
+//!
+//! The V list's host transforms are those of the CPU path's one spectral
+//! engine, [`FftBatchedM2l`]: its half spectra are Hermitian-completed to
+//! the full `(2p)³` f32 grids the device Hadamard ([`vli_hadamard`])
+//! streams, and its pruned inverse reads the `kz ≤ p` half of each device
+//! accumulator back. The model charges what the paper ran: the
+//! full-spectrum Hadamard traffic and one `5·g·log2 g` FFT per source and
+//! per target at the 2009 FFT rate.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use pfmm_core::driver::{gather_potentials, Fmm, FmmConfig};
-use pfmm_core::m2l_fft::FftM2l;
+use pfmm_core::m2l_batched::{offset_index, FftBatchedM2l};
 use pfmm_core::ops::Ops;
+use pfmm_core::small_dft::DftScratch;
 use pfmm_core::surface::{surface_points, RAD_INNER, RAD_OUTER};
 use pfmm_kernels::{direct_eval, Laplace};
 use pfmm_mpisim::run;
 use pfmm_tree::{build_let, build_lists, points_to_octree, Let, Lists, PointRec};
 
-use crate::device::DeviceSpec;
+use crate::device::{DeviceSpec, KernelStats};
 use crate::kernels::{d2t, s2u, uli, vli_hadamard, SurfBox};
 use crate::layout::GpuLayout;
 
@@ -285,10 +295,10 @@ fn gpu_pipeline(
     wx_on_gpu: bool,
 ) -> (GpuFmmReport, Vec<(u64, f64)>) {
     let kernel = Arc::new(Laplace);
-    let ops = Ops::new(kernel.clone(), order, 1e-12);
-    let fft = FftM2l::new(kernel.clone(), order);
+    let ops = Ops::new(kernel.clone(), order);
+    let m2l = FftBatchedM2l::new(kernel.clone(), order);
     let nsurf = ops.n_surf();
-    let g = fft.grid_len();
+    let g = m2l.grid_len();
 
     // ---- Setup: tree, LET, lists (host side, shared with the CPU path),
     // including the paper's work-weighted repartition.
@@ -402,91 +412,32 @@ fn gpu_pipeline(
     // ---------------- V-list: CPU FFTs + GPU Hadamard ----------------
     let t0 = Instant::now();
     let mut dcheck = vec![0.0f64; noct * nsurf];
-    let mut fft_flops = 0u64;
-    let fft_cost = (5 * g * g.ilog2() as usize) as u64;
-    // Forward spectra of every V-list source (f32 for the device).
-    let mut uhat_id = vec![-1i32; noct];
-    let mut uhats: Vec<f32> = Vec::new();
-    let mut khat_id: std::collections::HashMap<(u32, [i8; 3]), u32> = Default::default();
-    let mut khats: Vec<f32> = Vec::new();
-    let mut pairs_off = vec![0u32];
-    let mut pair_khat = Vec::new();
-    let mut pair_uhat = Vec::new();
-    let mut pair_scale = Vec::new();
-    let mut vtargets = Vec::new();
+    let mut vli = VliPairs::new(noct);
     for bi in 0..noct {
-        if !l.local[bi] || lists.v.row(bi).is_empty() {
+        if !l.local[bi] {
             continue;
         }
         let beta = l.octs[bi];
-        let mut any = false;
+        let cu = beta.cell_units() as i64;
         for &ai in lists.v.row(bi) {
             let ai = ai as usize;
             if !has_up[ai] {
                 continue;
             }
-            if uhat_id[ai] < 0 {
-                let spec = fft.source_spectrum(&u[ai * nsurf..(ai + 1) * nsurf]);
-                uhat_id[ai] = (uhats.len() / (2 * g)) as i32;
-                for c in &spec {
-                    uhats.push(c.re as f32);
-                    uhats.push(c.im as f32);
-                }
-                fft_flops += fft_cost;
-            }
             let alpha = l.octs[ai];
-            let cu = beta.cell_units() as i64;
-            let off = [
-                ((beta.anchor()[0] as i64 - alpha.anchor()[0] as i64) / cu) as i8,
-                ((beta.anchor()[1] as i64 - alpha.anchor()[1] as i64) / cu) as i8,
-                ((beta.anchor()[2] as i64 - alpha.anchor()[2] as i64) / cu) as i8,
-            ];
-            let (spec, scale) = fft.kernel_spectrum(beta.level(), off);
-            let kid = *khat_id.entry((beta.level(), off)).or_insert_with(|| {
-                let id = (khats.len() / (2 * g)) as u32;
-                for c in spec.iter() {
-                    khats.push(c.re as f32);
-                    khats.push(c.im as f32);
-                }
-                id
-            });
-            pair_khat.push(kid);
-            pair_uhat.push(uhat_id[ai] as u32);
-            pair_scale.push(scale as f32);
-            any = true;
+            let off = [0, 1, 2]
+                .map(|a| ((beta.anchor()[a] as i64 - alpha.anchor()[a] as i64) / cu) as i8);
+            vli.push(beta.level(), off, ai);
         }
-        if any {
-            vtargets.push(bi);
-            pairs_off.push(pair_khat.len() as u32);
-        } else {
-            pair_khat.truncate(*pairs_off.last().expect("nonempty") as usize);
-        }
+        vli.end_target(bi);
     }
+    // The model charges one 2009-CPU FFT of the full torus per source
+    // transform and per target inverse.
+    let fft_cost = (5 * g * g.ilog2() as usize) as u64;
+    let fft_flops = (vli.sources.len() + vli.targets.len()) as u64 * fft_cost;
     let mut hadamard_flops = 0u64;
-    if !vtargets.is_empty() {
-        let (acc, had_stats) = vli_hadamard(
-            g,
-            &pairs_off,
-            &pair_khat,
-            &pair_uhat,
-            &pair_scale,
-            &khats,
-            &uhats,
-        );
+    if let Some(had_stats) = vli_on_device(&m2l, 2 * order, &vli, &u, nsurf, &mut dcheck) {
         hadamard_flops = had_stats.tally.flops;
-        // Inverse transforms + surface extraction on the host.
-        for (t, &bi) in vtargets.iter().enumerate() {
-            let grid: Vec<pfmm_fft::Complex> = (0..g)
-                .map(|i| {
-                    pfmm_fft::Complex::new(
-                        acc[t * 2 * g + 2 * i] as f64,
-                        acc[t * 2 * g + 2 * i + 1] as f64,
-                    )
-                })
-                .collect();
-            fft.finish(grid, &mut dcheck[bi * nsurf..(bi + 1) * nsurf]);
-            fft_flops += fft_cost;
-        }
         gpu_secs[2] = device.kernel_time(&had_stats) + fft_flops as f64 / CPU09_FFT;
     }
     cpu_secs[2] = hadamard_flops as f64 / CPU09 + fft_flops as f64 / CPU09_FFT;
@@ -790,10 +741,231 @@ fn gpu_pipeline(
     (report, pairs)
 }
 
+/// The device V-list pair list, grouped by target: one device source
+/// spectrum per V source octant and one device kernel spectrum per
+/// (level, transfer vector), each numbered in order of first use.
+struct VliPairs {
+    /// Pair-range start per target, plus the end.
+    pairs_off: Vec<u32>,
+    pair_khat: Vec<u32>,
+    pair_uhat: Vec<u32>,
+    /// Target octant per closed target.
+    targets: Vec<usize>,
+    /// Source octant per source spectrum.
+    sources: Vec<usize>,
+    /// (level, transfer vector) per kernel spectrum.
+    kernels: Vec<(u32, [i8; 3])>,
+    uhat_id: Vec<u32>,
+    khat_id: HashMap<(u32, [i8; 3]), u32>,
+}
+
+impl VliPairs {
+    /// An empty list over `noct` octants.
+    fn new(noct: usize) -> VliPairs {
+        VliPairs {
+            pairs_off: vec![0],
+            pair_khat: Vec::new(),
+            pair_uhat: Vec::new(),
+            targets: Vec::new(),
+            sources: Vec::new(),
+            kernels: Vec::new(),
+            uhat_id: vec![u32::MAX; noct],
+            khat_id: HashMap::new(),
+        }
+    }
+
+    /// Add the edge from source octant `src` along transfer vector `off`
+    /// to the open target at `level`.
+    fn push(&mut self, level: u32, off: [i8; 3], src: usize) {
+        if self.uhat_id[src] == u32::MAX {
+            self.uhat_id[src] = self.sources.len() as u32;
+            self.sources.push(src);
+        }
+        let kernels = &mut self.kernels;
+        let kid = *self.khat_id.entry((level, off)).or_insert_with(|| {
+            kernels.push((level, off));
+            kernels.len() as u32 - 1
+        });
+        self.pair_khat.push(kid);
+        self.pair_uhat.push(self.uhat_id[src]);
+    }
+
+    /// Close the open target as octant `oct`; dropped without edges.
+    fn end_target(&mut self, oct: usize) {
+        if self.pair_khat.len() as u32 > *self.pairs_off.last().expect("starts at 0") {
+            self.targets.push(oct);
+            self.pairs_off.push(self.pair_khat.len() as u32);
+        }
+    }
+}
+
+/// Append the full `n³` spectrum of a real grid, interleaved f32
+/// `[(kx·n + ky)·n + kz]` as the device Hadamard reads it, given its half
+/// spectrum `[(kx·n + ky)·h + kz]` (`h = n/2 + 1`): the dropped
+/// `kz > n/2` half is `X(k) = conj X(−k mod n)`.
+fn complete_half_spectrum(half: impl Iterator<Item = (f64, f64)>, n: usize, out: &mut Vec<f32>) {
+    let h = n / 2 + 1;
+    let half: Vec<(f64, f64)> = half.collect();
+    assert_eq!(half.len(), n * n * h, "half spectrum length");
+    for kx in 0..n {
+        for ky in 0..n {
+            for kz in 0..n {
+                let (re, im) = if kz < h {
+                    half[(kx * n + ky) * h + kz]
+                } else {
+                    let (re, im) = half[(((n - kx) % n) * n + (n - ky) % n) * h + n - kz];
+                    (re, -im)
+                };
+                out.push(re as f32);
+                out.push(im as f32);
+            }
+        }
+    }
+}
+
+/// The V list of §IV on the device: the host transforms of the batched
+/// engine `m2l` (torus side `n`) completed to the full f32 spectra the
+/// device Hadamard [`vli_hadamard`] streams, then the engine's pruned
+/// inverse of the `kz ≤ n/2` half of each target accumulator on the host,
+/// added into `dcheck` (`nsurf` values per octant, like the densities
+/// `u`). Returns the Hadamard's stats; `None` when no target has an edge.
+fn vli_on_device(
+    m2l: &FftBatchedM2l,
+    n: usize,
+    vli: &VliPairs,
+    u: &[f64],
+    nsurf: usize,
+    dcheck: &mut [f64],
+) -> Option<KernelStats> {
+    if vli.targets.is_empty() {
+        return None;
+    }
+    let (g, h) = (n * n * n, n / 2 + 1);
+    let src = m2l.source_spectra(&vli.sources, u.len() / nsurf, u, nsurf, 1);
+    let mut uhats = Vec::with_capacity(vli.sources.len() * 2 * g);
+    for s in 0..vli.sources.len() as u32 {
+        complete_half_spectrum(src.spectrum(s, 0), n, &mut uhats);
+    }
+    let mut khats = Vec::with_capacity(vli.kernels.len() * 2 * g);
+    let mut kscale = Vec::with_capacity(vli.kernels.len());
+    for &(level, off) in &vli.kernels {
+        m2l.ensure_levels(&[level], 1);
+        let (spec, scale) = m2l.table().spectrum(level, offset_index(off), 0);
+        complete_half_spectrum(spec, n, &mut khats);
+        kscale.push(scale as f32);
+    }
+    let pair_scale: Vec<f32> = vli.pair_khat.iter().map(|&k| kscale[k as usize]).collect();
+    let (acc, stats) = vli_hadamard(
+        g,
+        &vli.pairs_off,
+        &vli.pair_khat,
+        &vli.pair_uhat,
+        &pair_scale,
+        &khats,
+        &uhats,
+    );
+    let (mut re, mut im) = (vec![0.0f64; n * n * h], vec![0.0f64; n * n * h]);
+    let mut sc = DftScratch::default();
+    for (t, &bi) in vli.targets.iter().enumerate() {
+        let acc = &acc[t * 2 * g..(t + 1) * 2 * g];
+        for row in 0..n * n {
+            for kz in 0..h {
+                re[row * h + kz] = acc[2 * (row * n + kz)] as f64;
+                im[row * h + kz] = acc[2 * (row * n + kz) + 1] as f64;
+            }
+        }
+        m2l.finish_component(
+            &re,
+            &im,
+            0,
+            &mut dcheck[bi * nsurf..(bi + 1) * nsurf],
+            &mut sc,
+        );
+    }
+    Some(stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pfmm_core::distrib::{randomize_densities, uniform_cube};
+
+    /// One target against three V sources through the device V list
+    /// (half-spectrum completion, `vli_hadamard`, pruned inverse) matches
+    /// the dense f64 M2L to f32 accuracy.
+    #[test]
+    fn device_vli_matches_dense_m2l() {
+        let level = 3;
+        let offsets = [[2i8, 0, 0], [-3, 1, 2], [0, -2, 3]];
+        for order in [4, 6] {
+            let ops = Ops::new(Arc::new(Laplace), order);
+            let m2l = FftBatchedM2l::new(Arc::new(Laplace), order);
+            let nsurf = ops.n_surf();
+            // Octant 0 is the target, octants 1..=3 the sources.
+            let u: Vec<f64> = (0..4 * nsurf)
+                .map(|i| (i as f64 * 0.37).sin() + 0.2)
+                .collect();
+            let mut vli = VliPairs::new(4);
+            for (s, &off) in offsets.iter().enumerate() {
+                vli.push(level, off, s + 1);
+            }
+            vli.end_target(0);
+            let mut got = vec![0.0; 4 * nsurf];
+            vli_on_device(&m2l, 2 * order, &vli, &u, nsurf, &mut got).expect("one target");
+
+            let mut want = vec![0.0; nsurf];
+            for (s, &off) in offsets.iter().enumerate() {
+                let (m, scale) = ops.m2l(level, off);
+                m.matvec_acc_scaled(&u[(s + 1) * nsurf..(s + 2) * nsurf], &mut want, scale);
+            }
+            let denom = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let err = got[..nsurf]
+                .iter()
+                .zip(&want)
+                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+            assert!(err < 1e-6 * denom, "order {order}: {err} vs max {denom}");
+            assert!(got[nsurf..].iter().all(|&v| v == 0.0), "sources untouched");
+        }
+    }
+
+    /// The completed spectrum equals the full DFT of the real grid at
+    /// every frequency, the dropped `kz > n/2` half included (the device
+    /// accumulator's inverse reads only the kept half, so the dense
+    /// comparison above cannot see that half).
+    #[test]
+    fn half_spectrum_completion_is_the_full_dft() {
+        let n = 6;
+        let h = n / 2 + 1;
+        let grid: Vec<f64> = (0..n * n * n).map(|i| (i as f64 * 0.71).cos()).collect();
+        let dft = |k: [usize; 3]| {
+            let (mut re, mut im) = (0.0f64, 0.0f64);
+            for (j, &x) in grid.iter().enumerate() {
+                let jj = [j / (n * n), j / n % n, j % n];
+                let dot: usize = (0..3).map(|a| k[a] * jj[a]).sum();
+                let t = -2.0 * std::f64::consts::PI * (dot % n) as f64 / n as f64;
+                re += x * t.cos();
+                im += x * t.sin();
+            }
+            (re, im)
+        };
+        let half: Vec<(f64, f64)> = (0..n * n * h)
+            .map(|i| dft([i / (n * h), i / h % n, i % h]))
+            .collect();
+        let mut full = Vec::new();
+        complete_half_spectrum(half.into_iter(), n, &mut full);
+        assert_eq!(full.len(), 2 * n * n * n);
+        // |x| ≤ 1 bounds every frequency by n³; f32 keeps ~7 digits.
+        let tol = 1e-6 * (n * n * n) as f64;
+        for i in 0..n * n * n {
+            let (re, im) = dft([i / (n * n), i / n % n, i % n]);
+            assert!(
+                (full[2 * i] as f64 - re).abs() < tol && (full[2 * i + 1] as f64 - im).abs() < tol,
+                "frequency {i}: ({}, {}) vs ({re}, {im})",
+                full[2 * i],
+                full[2 * i + 1]
+            );
+        }
+    }
 
     #[test]
     fn gpu_pipeline_matches_f64_fmm() {

@@ -454,7 +454,7 @@ mod tests {
         use std::sync::Arc;
 
         let order = 4;
-        let ops = Ops::new(Arc::new(Laplace), order, 1e-12);
+        let ops = Ops::new(Arc::new(Laplace), order);
         let n = ops.n_surf();
         let check_rel: Vec<[f32; 3]> = pfmm_core::surface::surface_points(
             order,
@@ -538,7 +538,7 @@ mod tests {
         use std::sync::Arc;
 
         let order = 4;
-        let ops = Ops::new(Arc::new(Laplace), order, 1e-12);
+        let ops = Ops::new(Arc::new(Laplace), order);
         let n = ops.n_surf();
         let equiv_rel: Vec<[f32; 3]> = pfmm_core::surface::surface_points(
             order,

@@ -6,7 +6,7 @@
 //! data-structure construction dominating evaluation); caching one
 //! amortizes that cost over every request against the same geometry.
 //! Inserts follow the same *build-outside-the-lock* discipline as the
-//! `Ops`/`FftM2l` operator caches in `pfmm-core`: a miss releases the
+//! `Ops` operator cache in `pfmm-core`: a miss releases the
 //! lock, builds the plan (seconds, potentially), then re-checks under the
 //! lock so a racing builder's copy wins and the loser's work is dropped —
 //! the cache mutex is never held across a build.

@@ -11,7 +11,6 @@
 //!   [Perfetto](https://ui.perfetto.dev) compatible): one pid per
 //!   simulated rank, one tid per worker lane, flow events rendering
 //!   message sends as arrows.
-//! - [`binfmt`] — a compact self-describing binary encoding for tests.
 //! - [`metrics`] — load imbalance, per-lane Gantt utilization and the
 //!   comm matrix, all derived purely from events.
 //!
@@ -24,7 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub mod binfmt;
 pub mod chrome;
 pub mod json;
 pub mod metrics;

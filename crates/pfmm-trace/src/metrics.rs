@@ -1,6 +1,6 @@
 //! Trace-derived metrics: everything here is computed purely from a
 //! drained event list, so the same numbers can be recovered from an
-//! exported file (JSON or binary) as from a live run.
+//! exported Chrome-trace JSON file as from a live run.
 
 use crate::{Event, EventKind};
 use std::collections::HashMap;

@@ -7,7 +7,8 @@
 //!
 //! - [`morton`] — Morton octant keys and linear-octree algorithms
 //! - [`linalg`] — dense matrices, SVD, pseudo-inverse
-//! - [`fft`] — FFTs for the diagonalized V-list translation
+//! - [`fft`] — general complex and real 3-D FFTs (the test oracle of the
+//!   pruned small DFTs the V-list translation runs on)
 //! - [`kernels`] — Laplace / Stokes kernels and the direct baseline
 //! - [`mpisim`] — the in-process message-passing runtime (MPI stand-in)
 //! - [`tree`] — distributed adaptive octree, LET, interaction lists
