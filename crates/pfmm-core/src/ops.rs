@@ -6,7 +6,10 @@
 //! - `UC2E` — upward check potential → upward equivalent density (the
 //!   regularized pseudo-inverse solve of Ying et al. §3)
 //! - `U2U(i)` — child-i equivalent density → parent equivalent density
-//! - `DC2E` — downward check potential → downward equivalent density
+//! - `DC2E` — downward check potential → downward equivalent density.
+//!   The downward surfaces are the upward ones swapped, so for a kernel
+//!   with `K(x, y) = K(y, x)ᵀ` (Laplace, Stokes, Yukawa) it is `UC2Eᵀ`
+//!   and costs no second solve; see [`Ops::dc2e`]
 //! - `D2D(i)` — parent downward density → child-i downward density
 //! - `M2L(o)` — source equivalent density → target downward *check*
 //!   potential, for each of the ≤316 V-list offsets `o`
@@ -33,6 +36,15 @@ use pfmm_tree::SetupPar;
 /// Relative truncation of the check→equivalent pseudo-inverses (UC2E,
 /// DC2E): singular values below this fraction of the largest are dropped.
 pub const PINV_REL_TOL: f64 = 1e-12;
+
+/// Relative truncation of a check→equivalent pseudo-inverse that is
+/// applied in f32 (gpusim's device S2U). At [`PINV_REL_TOL`] the inverse
+/// amplifies f32 rounding of the check potentials by up to 1e12, and an
+/// order-6 f32 pipeline on 4000 uniform points differs from the f64 FMM
+/// by 0.3. Measured on five such point sets (q = 150) at orders 4 and 6,
+/// that difference is 2.1e-5–5.3e-5 for any truncation in 3e-5..5e-5,
+/// up to 1.8e-4 at 1e-5 and up to 7.7e-5 at 1e-4.
+pub const PINV_F32_REL_TOL: f64 = 5e-5;
 
 /// Half-width of a level-`l` octant of the unit cube.
 #[inline]
@@ -67,6 +79,17 @@ where
     }
     let built = Arc::new(build());
     cache.lock().entry(key).or_insert(built).clone()
+}
+
+/// Whether `a` is `bᵀ` bit for bit.
+fn is_transpose(a: &Matrix, b: &Matrix) -> bool {
+    let bt = b.transpose();
+    a.rows() == bt.rows()
+        && a.cols() == bt.cols()
+        && a.as_slice()
+            .iter()
+            .zip(bt.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Cache keyed by (level, V-list offset).
@@ -187,34 +210,56 @@ impl Ops {
         }
     }
 
+    /// The upward check matrix `K(up check, up equivalent)` of a
+    /// level-`level` octant centered at the origin.
+    fn up_check_matrix(&self, level: u32) -> Matrix {
+        let (r, c) = (level_radius(level), [0.0; 3]);
+        assemble(
+            self.kernel.as_ref(),
+            &self.up_check_surface(&c, r),
+            &self.up_equiv_surface(&c, r),
+        )
+    }
+
     /// Upward check-to-equivalent solve operator at `level`.
     pub fn uc2e(&self, level: u32) -> ScaledOp {
         let (base, scale) = self.base_level_scale(level, true);
         let m = cached(&self.uc2e, base, || {
-            let r = level_radius(base);
-            let c = [0.0, 0.0, 0.0];
-            let k = assemble(
-                self.kernel.as_ref(),
-                &self.up_check_surface(&c, r),
-                &self.up_equiv_surface(&c, r),
-            );
-            pinv(&k, PINV_REL_TOL)
+            pinv(&self.up_check_matrix(base), PINV_REL_TOL)
         });
         (m, scale)
     }
 
+    /// [`Ops::uc2e`] truncated at `rel_tol` instead of [`PINV_REL_TOL`],
+    /// solved afresh on every call (not cached).
+    pub fn uc2e_truncated(&self, level: u32, rel_tol: f64) -> (Matrix, f64) {
+        let (base, scale) = self.base_level_scale(level, true);
+        (pinv(&self.up_check_matrix(base), rel_tol), scale)
+    }
+
     /// Downward check-to-equivalent solve operator at `level`.
+    ///
+    /// The downward check surface is the upward equivalent surface and
+    /// the downward equivalent surface the upward check surface, so for a
+    /// kernel with `K(x, y) = K(y, x)ᵀ` the downward check matrix is the
+    /// upward one transposed, and its pseudo-inverse is `uc2eᵀ`. That is
+    /// checked, not assumed: the cached `uc2e` is transposed only when
+    /// the assembled matrix equals the upward one's transpose bit for bit.
+    /// Any other kernel (the dipole, whose matrix is `n × 3n`) is solved.
     pub fn dc2e(&self, level: u32) -> ScaledOp {
         let (base, scale) = self.base_level_scale(level, true);
         let m = cached(&self.dc2e, base, || {
-            let r = level_radius(base);
-            let c = [0.0, 0.0, 0.0];
+            let (r, c) = (level_radius(base), [0.0; 3]);
             let k = assemble(
                 self.kernel.as_ref(),
                 &self.down_check_surface(&c, r),
                 &self.down_equiv_surface(&c, r),
             );
-            pinv(&k, PINV_REL_TOL)
+            if is_transpose(&k, &self.up_check_matrix(base)) {
+                self.uc2e(base).0.transpose()
+            } else {
+                pinv(&k, PINV_REL_TOL)
+            }
         });
         (m, scale)
     }
@@ -310,9 +355,11 @@ impl Ops {
     /// Tasks enumerate *distinct cache keys* — for homogeneous kernels
     /// every level collapses onto the base level, so naively warming per
     /// level would race concurrent builds of the same matrix (harmless
-    /// but wasteful; [`cached`] drops the losers). Two waves: the
-    /// uc2e/dc2e solves first, then the folded U2U/D2D operators whose
-    /// builds consume them as cache hits.
+    /// but wasteful; [`cached`] drops the losers). Three waves, each
+    /// consuming the last one's operators as cache hits: the uc2e solves
+    /// (one per base level); the dc2e operators (a transpose of uc2e for
+    /// symmetric kernels, a solve otherwise); the folded U2U/D2D
+    /// operators.
     pub fn warm(&self, max_level: u32, par: SetupPar) {
         let hom = self.homogeneity.is_some();
         let solve_levels: Vec<u32> = if hom {
@@ -320,13 +367,11 @@ impl Ops {
         } else {
             (0..=max_level).collect()
         };
-        par_map_n(par.threads(), 2 * solve_levels.len(), |k| {
-            let lev = solve_levels[k / 2];
-            if k % 2 == 0 {
-                drop(self.uc2e(lev));
-            } else {
-                drop(self.dc2e(lev));
-            }
+        par_map_n(par.threads(), solve_levels.len(), |k| {
+            drop(self.uc2e(solve_levels[k]));
+        });
+        par_map_n(par.threads(), solve_levels.len(), |k| {
+            drop(self.dc2e(solve_levels[k]));
         });
         if max_level == 0 {
             return;
@@ -351,7 +396,7 @@ impl Ops {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfmm_kernels::{direct_eval, Laplace, Stokes};
+    use pfmm_kernels::{direct_eval, Laplace, LaplaceDipole, Stokes, Yukawa};
 
     /// Laplace that pretends to be non-homogeneous, to exercise the
     /// per-level cache path against the scaled path.
@@ -612,6 +657,157 @@ mod tests {
         let (m, _) = o.m2l(2, [0, 2, 0]);
         assert_eq!(m.rows(), 3 * n);
         assert_eq!(m.cols(), 3 * n);
+    }
+
+    /// A deterministic, non-smooth probe vector of length `n`.
+    fn probe_vec(n: usize, seed: u64) -> Vec<f64> {
+        (0..n as u64)
+            .map(|i| {
+                let h = (i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 11;
+                h as f64 / (1u64 << 53) as f64 - 0.5
+            })
+            .collect()
+    }
+
+    /// ‖a − b‖₂ / ‖b‖₂.
+    fn rel_diff(a: &[f64], b: &[f64]) -> f64 {
+        let num: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+        let den: f64 = b.iter().map(|y| y * y).sum();
+        (num / den).sqrt()
+    }
+
+    /// For the symmetric kernels `dc2e` is the cached `uc2e` transposed,
+    /// and it agrees on applied vectors with a pseudo-inverse solved from
+    /// the assembled downward check matrix. Yukawa is not homogeneous, so
+    /// its two levels are two distinct solves. Measured relative ℓ²
+    /// differences: Laplace ≤ 1.2e-9, Stokes ≤ 3.7e-12, Yukawa ≤ 5.5e-13
+    /// (the truncated inverse's conditioning, not a loss of accuracy).
+    #[test]
+    fn transposed_dc2e_matches_solved_dc2e() {
+        let cases: [(Arc<dyn Kernel>, usize); 3] = [
+            (Arc::new(Laplace), 6),
+            (Arc::new(Stokes::default()), 4),
+            (Arc::new(Yukawa::default()), 4),
+        ];
+        for (kernel, order) in cases {
+            let o = Ops::new(kernel.clone(), order);
+            for level in [2u32, 3] {
+                let (base, _) = o.base_level_scale(level, true);
+                let (dc2e, ds) = o.dc2e(level);
+                let (uc2e, us) = o.uc2e(level);
+                assert_eq!(ds.to_bits(), us.to_bits());
+                let uct = uc2e.transpose();
+                assert!(
+                    is_transpose(&dc2e, &uc2e),
+                    "{} takes the transpose",
+                    kernel.name()
+                );
+                let (r, c) = (level_radius(base), [0.0; 3]);
+                let k = assemble(
+                    kernel.as_ref(),
+                    &o.down_check_surface(&c, r),
+                    &o.down_equiv_surface(&c, r),
+                );
+                let solved = pinv(&k, PINV_REL_TOL);
+                for seed in 0..3 {
+                    let v = probe_vec(o.check_len(), seed);
+                    let rel = rel_diff(&uct.matvec(&v), &solved.matvec(&v));
+                    assert!(rel <= 1e-8, "{} level {level}: {rel}", kernel.name());
+                }
+            }
+        }
+    }
+
+    /// The dipole's check matrix is `n × 3n`, not the transpose of
+    /// anything square, so its `dc2e` is solved: `3n × n`, and accurate
+    /// through the M2L + DC2E chain (1.3e-5, as before `dc2e` could be a
+    /// transpose).
+    #[test]
+    fn dipole_dc2e_takes_the_solve_path() {
+        let o = Ops::new(Arc::new(LaplaceDipole), 4);
+        let n = o.n_surf();
+        let level = 3u32;
+        let (dc2e, ds) = o.dc2e(level);
+        let (uc2e, _) = o.uc2e(level);
+        assert_eq!((dc2e.rows(), dc2e.cols()), (3 * n, n));
+        assert!(!is_transpose(&dc2e, &uc2e));
+
+        let r = level_radius(level);
+        let sc = [0.0625, 0.0625, 0.0625];
+        let offset = [3i8, 0, -2];
+        let tc = [
+            sc[0] + offset[0] as f64 * 2.0 * r,
+            sc[1] + offset[1] as f64 * 2.0 * r,
+            sc[2] + offset[2] as f64 * 2.0 * r,
+        ];
+        let u: Vec<f64> = (0..o.density_len())
+            .map(|i| ((i as f64) * 0.1).sin())
+            .collect();
+        let (m, ms) = o.m2l(level, offset);
+        let mut d = vec![0.0; o.density_len()];
+        dc2e.matvec_acc_scaled(&m.matvec(&u), &mut d, ds * ms);
+        let probe = [tc[0] + 0.4 * r, tc[1] - 0.3 * r, tc[2] + 0.2 * r];
+        let mut via = vec![0.0];
+        direct_eval(
+            &LaplaceDipole,
+            &[probe],
+            &o.down_equiv_surface(&tc, r),
+            &d,
+            &mut via,
+        );
+        let mut want = vec![0.0];
+        direct_eval(
+            &LaplaceDipole,
+            &[probe],
+            &o.up_equiv_surface(&sc, r),
+            &u,
+            &mut want,
+        );
+        let rel = (via[0] - want[0]).abs() / want[0].abs().max(1e-30);
+        assert!(rel < 1e-4, "dipole M2L chain relative error {rel}");
+    }
+
+    /// `pinv` of the real check matrices (Laplace order 6, 152²; Stokes
+    /// order 4, 168²) meets the four Moore–Penrose conditions, each
+    /// residual as a max-entry difference relative to the largest entry
+    /// of the matrix it is compared with. Measured (APA, PAP, (AP)ᵀ,
+    /// (PA)ᵀ): Laplace 1.3e-9, 1.3e-9, 2.0e-8, 3.1e-8 (|P| up to 1.8e7);
+    /// Stokes 9.1e-13, 2.9e-12, 2.5e-11, 3.2e-11. The strided Jacobi this
+    /// replaced measured the same orders. Bounds leave about 3× headroom.
+    #[test]
+    fn check_matrix_pinv_moore_penrose_conditions() {
+        let cases: [(Arc<dyn Kernel>, usize, [f64; 4]); 2] = [
+            (Arc::new(Laplace), 6, [5e-9, 5e-9, 1e-7, 1e-7]),
+            (Arc::new(Stokes::default()), 4, [3e-12, 1e-11, 1e-10, 1e-10]),
+        ];
+        let resid = |x: &Matrix, y: &Matrix| {
+            let d = x
+                .as_slice()
+                .iter()
+                .zip(y.as_slice())
+                .map(|(u, v)| (u - v).abs())
+                .fold(0.0f64, f64::max);
+            d / y.max_abs()
+        };
+        for (kernel, order, bounds) in cases {
+            let o = Ops::new(kernel.clone(), order);
+            let a = o.up_check_matrix(0);
+            let p = o.uc2e(0).0;
+            let (ap, pa) = (a.matmul(&p), p.matmul(&a));
+            let conds = [
+                resid(&ap.matmul(&a), &a),
+                resid(&pa.matmul(&p), &p),
+                resid(&ap.transpose(), &ap),
+                resid(&pa.transpose(), &pa),
+            ];
+            for (i, (got, bound)) in conds.iter().zip(bounds).enumerate() {
+                assert!(
+                    *got <= bound,
+                    "{} order {order}: condition {i} residual {got:e} > {bound:e}",
+                    kernel.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use pfmm_core::driver::{gather_potentials, Fmm, FmmConfig};
 use pfmm_core::m2l_batched::{offset_index, FftBatchedM2l};
-use pfmm_core::ops::Ops;
+use pfmm_core::ops::{Ops, PINV_F32_REL_TOL};
 use pfmm_core::small_dft::DftScratch;
 use pfmm_core::surface::{surface_points, RAD_INNER, RAD_OUTER};
 use pfmm_kernels::{direct_eval, Laplace};
@@ -332,7 +332,8 @@ fn gpu_pipeline(
         .iter()
         .map(|p| p.map(|v| v as f32))
         .collect();
-    let (uc2e0, _) = ops.uc2e(0);
+    // The device applies uc2e in f32, so it gets the f32 truncation.
+    let (uc2e0, _) = ops.uc2e_truncated(0, PINV_F32_REL_TOL);
     let uc2e32: Vec<f32> = uc2e0.as_slice().iter().map(|&v| v as f32).collect();
     let mut sboxes = Vec::with_capacity(lay.num_src_boxes());
     let mut sbox_oct = Vec::with_capacity(lay.num_src_boxes());
@@ -987,7 +988,12 @@ mod tests {
         let mut pts = uniform_cube(4000, 5, 0);
         randomize_densities(&mut pts, 1, 6);
         let dev = DeviceSpec::tesla_s1070();
-        let rep = run_gpu_fmm(pts, 150, 6, &dev, false);
+        let rep = run_gpu_fmm(pts, 150, 6, &dev, true);
+        assert!(
+            rep.rel_err_vs_f64 <= 1e-4,
+            "f32 pipeline error vs f64: {}",
+            rep.rel_err_vs_f64
+        );
         let sp = rep.speedup();
         assert!(sp > 5.0, "modeled speedup {sp}");
         assert!(sp < 400.0, "speedup within physical limits: {sp}");

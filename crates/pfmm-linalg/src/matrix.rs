@@ -172,22 +172,13 @@ impl Matrix {
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul: inner dimensions");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order: streams `other` rows, cache-friendly row-major.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        // Column j of the product is `self · other[:, j]`: one multi-RHS
+        // GEMM over the columns of `other` (the rows of its transpose),
+        // giving the product column-major. Each entry is one ascending-k
+        // accumulator of plain mul/add.
+        let mut t = vec![0.0; self.rows * other.cols];
+        crate::gemm::gemm_acc(self, other.transpose().as_slice(), &mut t, other.cols);
+        Matrix::from_vec(other.cols, self.rows, t).transpose()
     }
 
     /// Scale every entry in place.
