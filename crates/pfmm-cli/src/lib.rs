@@ -25,7 +25,7 @@ use args::Args;
 use pfmm_core::distrib::{ellipsoid_1_1_4, plummer, randomize_densities, uniform_cube};
 use pfmm_core::driver::gather_potentials;
 use pfmm_core::profile::{Phase, ProfileSummary};
-use pfmm_core::tune::tune_sweep;
+use pfmm_core::tune::{model_q, tune_sweep};
 use pfmm_core::verify::sampled_rel_error;
 use pfmm_core::{Fmm, FmmConfig, M2lMode, Reduction, SortKind};
 use pfmm_gpusim::{run_gpu_fmm, run_gpu_fmm_wx, DeviceSpec, GpuPhase};
@@ -44,7 +44,8 @@ common options:
   --dist <uniform|ellipsoid|plummer>  particle distribution (default uniform)
   --kernel <laplace|stokes|yukawa|dipole>  (default laplace; run/tune only)
   --order <int>        surface order: accuracy (default 6)
-  --q <int>            max points per leaf (default 100)
+  --q <int|auto>       max points per leaf; auto (the default) picks it
+                       per kernel and order from the engines' cost model
   --seed <int>         RNG seed (default 1)
 
 run options:
@@ -93,6 +94,8 @@ serve-sim options (closed-loop simulation of the pfmm-serve batched
 evaluation service: plan caching, deadline admission, load shedding):
   --requests <int>     requests to issue (default 64)
   --n <int>            points per geometry (default 500)
+  --q <int|auto>       max points per leaf (default 60: the small
+                       geometries still get a multi-level tree)
   --hot-geoms <int>    distinct hot geometries (default 3)
   --cold-frac <float>  fraction of one-off cold geometries (default 0.15)
   --arrival <closed|open>      closed-loop client pool or open-loop
@@ -313,10 +316,26 @@ fn points_of(args: &Args, kdim: usize) -> Result<Vec<PointRec>, String> {
     Ok(pts)
 }
 
+/// `--q`: `auto` (0 in [`FmmConfig::q`], resolved per kernel and order
+/// by `Fmm::new`) or a fixed positive bound; `default` is the spelling
+/// used when the flag is absent.
+fn q_of(args: &Args, default: &str) -> Result<usize, String> {
+    match args.get("q").unwrap_or(default) {
+        "auto" => Ok(0),
+        v => match v.parse::<usize>() {
+            Ok(0) => Err("--q must be positive; use --q=auto for the model's choice".into()),
+            Ok(q) => Ok(q),
+            Err(_) => Err(format!(
+                "--q: cannot parse '{v}' (a positive integer or auto)"
+            )),
+        },
+    }
+}
+
 fn config_of(args: &Args) -> Result<FmmConfig, String> {
     Ok(FmmConfig {
         order: args.get_or("order", 6)?,
-        q: args.get_or("q", 100)?,
+        q: q_of(args, "auto")?,
         m2l: match args.get("m2l").unwrap_or("fft-batched") {
             "fft-batched" => M2lMode::FftBatched,
             "dense" => M2lMode::Dense,
@@ -465,18 +484,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let kd = kernel.source_dim();
     let td = kernel.target_dim();
     let pts = points_of(args, kd)?;
-    println!(
-        "run: {} points, kernel {}, order {}, q {}, p {}, threads {}",
-        pts.len(),
-        kernel.name(),
-        cfg.order,
-        cfg.q,
-        ranks,
-        cfg.threads
-    );
+    let fmm = Fmm::new(kernel.clone(), cfg);
+    println!("{}", run_header(pts.len(), &fmm, ranks));
 
     let sampler = metrics.spawn_sampler();
-    let fmm = Fmm::new(kernel.clone(), cfg);
     let out = pfmm_mpisim::run(ranks, |c| {
         let mine: Vec<_> = pts.iter().skip(c.rank()).step_by(ranks).copied().collect();
         let res = fmm.evaluate_observed(c, mine, &tracer, pfmm_metrics::global());
@@ -515,6 +526,18 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The first line `run` prints, with the evaluator's resolved `q`.
+fn run_header(n: usize, fmm: &Fmm, ranks: usize) -> String {
+    let cfg = fmm.config();
+    format!(
+        "run: {n} points, kernel {}, order {}, q {}, p {ranks}, threads {}",
+        fmm.kernel().name(),
+        cfg.order,
+        cfg.q,
+        cfg.threads
+    )
+}
+
 fn cmd_tune(args: &Args) -> Result<(), String> {
     let kernel = kernel_of(args)?;
     let cfg = config_of(args)?;
@@ -538,15 +561,19 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
         &candidates,
         sample,
     );
-    println!("{:>8} {:>12} {:>14}", "q", "wall (s)", "modeled (s)");
+    println!("{:>8} {:>12}", "q", "wall (s)");
     for t in &sweep {
-        println!("{:>8} {:>12.4} {:>14.4}", t.q, t.wall_secs, t.modeled_secs);
+        println!("{:>8} {:>12.4}", t.q, t.wall_secs);
     }
     let best = sweep
         .iter()
         .min_by(|a, b| a.wall_secs.partial_cmp(&b.wall_secs).expect("finite"))
         .expect("candidates nonempty");
     println!("best (measured): q = {}", best.q);
+    println!(
+        "model (--q=auto): q = {}",
+        model_q(kernel.as_ref(), cfg.order)
+    );
     Ok(())
 }
 
@@ -648,7 +675,7 @@ fn cmd_serve_sim(args: &Args) -> Result<(), String> {
     let kernel = kernel_of(args)?;
     let cfg = FmmConfig {
         order: args.get_or("order", 4)?,
-        q: args.get_or("q", 60)?,
+        q: q_of(args, "60")?,
         ..Default::default()
     };
     let arrival = match args.get("arrival").unwrap_or("closed") {
@@ -826,6 +853,34 @@ mod tests {
             "yukawa"
         );
         assert!(kernel_of(&args(&["run", "--kernel", "nope"])).is_err());
+    }
+
+    /// `--q` is `auto` unless given, and `run` prints the value the
+    /// evaluator resolved it to; `--q=N` is a fixed choice; `--q=0` is
+    /// an error that names `auto`.
+    #[test]
+    fn q_defaults_to_auto_and_zero_is_rejected() {
+        for cmd in ["run", "tune", "solve"] {
+            assert_eq!(config_of(&args(&[cmd])).expect("default").q, 0, "{cmd}");
+            assert_eq!(config_of(&args(&[cmd, "--q=auto"])).expect("auto").q, 0);
+            assert_eq!(config_of(&args(&[cmd, "--q", "77"])).expect("fixed").q, 77);
+            assert!(config_of(&args(&[cmd, "--q=-3"])).is_err(), "{cmd}");
+        }
+        for cmd in ["run", "tune", "solve", "serve-sim"] {
+            let err = dispatch([cmd, "--n=100", "--q=0"].iter().map(|s| s.to_string()))
+                .expect_err("q = 0 rejected");
+            assert!(err.contains("--q=auto"), "{cmd}: {err}");
+        }
+        let q = model_q(&Laplace, 4);
+        let fmm = Fmm::new(
+            Arc::new(Laplace),
+            config_of(&args(&["run", "--order=4"])).expect("valid"),
+        );
+        assert_eq!(fmm.config().q, q);
+        assert_eq!(
+            run_header(10, &fmm, 2),
+            format!("run: 10 points, kernel laplace, order 4, q {q}, p 2, threads 1")
+        );
     }
 
     #[test]

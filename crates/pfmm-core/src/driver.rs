@@ -66,7 +66,10 @@ pub enum Reduction {
 pub struct FmmConfig {
     /// Surface order (points per cube edge); 4 ≈ 3 digits, 6 ≈ 5 digits.
     pub order: usize,
-    /// Maximum points per leaf octant (the paper's `q`).
+    /// Maximum points per leaf octant (the paper's `q`). `0`, the
+    /// default, asks [`Fmm::new`] for the cost model's choice for this
+    /// kernel and order ([`crate::tune::model_q`]); any other value is used
+    /// as given. [`Fmm::config`] reports the resolved value.
     pub q: usize,
     /// V-list evaluation mode.
     pub m2l: M2lMode,
@@ -89,7 +92,7 @@ impl Default for FmmConfig {
     fn default() -> Self {
         FmmConfig {
             order: 6,
-            q: 64,
+            q: 0,
             m2l: M2lMode::FftBatched,
             balance: true,
             reduction: Reduction::Auto,
@@ -143,10 +146,14 @@ pub struct Fmm {
 }
 
 impl Fmm {
-    /// Create an evaluator.
-    pub fn new(kernel: Arc<dyn Kernel>, cfg: FmmConfig) -> Fmm {
+    /// Create an evaluator. A `cfg.q` of 0 resolves to
+    /// [`crate::tune::model_q`] for the kernel and order.
+    pub fn new(kernel: Arc<dyn Kernel>, mut cfg: FmmConfig) -> Fmm {
         let ops = Ops::new(kernel.clone(), cfg.order);
         let fftb = FftBatchedM2l::new(kernel.clone(), cfg.order);
+        if cfg.q == 0 {
+            cfg.q = crate::tune::model_q(kernel.as_ref(), cfg.order);
+        }
         Fmm {
             kernel,
             cfg,
@@ -155,7 +162,7 @@ impl Fmm {
         }
     }
 
-    /// The configuration in use.
+    /// The configuration in use, with `q` resolved (never 0).
     pub fn config(&self) -> &FmmConfig {
         &self.cfg
     }
@@ -378,6 +385,35 @@ mod tests {
             gather_potentials(c, &res, td)
         });
         out.pop().expect("at least one rank")
+    }
+
+    /// `q == 0` resolves to the cost model's choice: the same at every
+    /// thread count and on every `Fmm::new`, never 0. An explicit `q`
+    /// passes through unchanged.
+    #[test]
+    fn auto_q_is_deterministic_and_explicit_q_passes_through() {
+        let kernels: [(Arc<dyn Kernel>, usize); 2] =
+            [(Arc::new(Laplace), 6), (Arc::new(Stokes::default()), 4)];
+        for (kernel, order) in kernels {
+            let want = crate::tune::model_q(kernel.as_ref(), order);
+            assert!(want > 0);
+            for threads in [1, 2, 3] {
+                let cfg = FmmConfig {
+                    order,
+                    threads,
+                    ..Default::default()
+                };
+                assert_eq!(cfg.q, 0, "the default asks for the model");
+                for _ in 0..2 {
+                    let fmm = Fmm::new(kernel.clone(), cfg);
+                    assert_eq!(fmm.config().q, want, "{} threads {threads}", kernel.name());
+                }
+                for q in [1, 37, want + 1] {
+                    let fmm = Fmm::new(kernel.clone(), FmmConfig { q, ..cfg });
+                    assert_eq!(fmm.config().q, q);
+                }
+            }
+        }
     }
 
     #[test]

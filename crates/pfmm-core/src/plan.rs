@@ -636,6 +636,34 @@ mod tests {
         assert_eq!(a, plan_fingerprint("laplace", &cfg, 1, &dense));
     }
 
+    /// The fingerprint sees the resolved `q`: an evaluator built from
+    /// the default (model-chosen) configuration keys its plans exactly
+    /// as one built with that `q` spelled out, and unlike a different
+    /// explicit `q`.
+    #[test]
+    fn fingerprint_sees_the_resolved_q() {
+        let pts = uniform_cube(300, 7, 0);
+        let auto = Fmm::new(Arc::new(Laplace), FmmConfig::default());
+        let q = auto.config().q;
+        let explicit = Fmm::new(
+            Arc::new(Laplace),
+            FmmConfig {
+                q,
+                ..Default::default()
+            },
+        );
+        let key = |f: &Fmm| plan_fingerprint("laplace", f.config(), 1, &pts);
+        assert_eq!(key(&auto), key(&explicit));
+        let other = Fmm::new(
+            Arc::new(Laplace),
+            FmmConfig {
+                q: q + 1,
+                ..Default::default()
+            },
+        );
+        assert_ne!(key(&auto), key(&other), "q");
+    }
+
     /// Plan memory accounting scales with the geometry and is nonzero.
     #[test]
     fn memory_bytes_tracks_geometry_size() {

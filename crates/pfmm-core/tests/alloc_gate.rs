@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pfmm_core::distrib::{plummer, randomize_densities};
-use pfmm_core::{Fmm, FmmConfig};
+use pfmm_core::{Fmm, FmmConfig, Phase};
 use pfmm_kernels::{Kernel, Laplace, Stokes};
 use pfmm_mpisim::run;
 
@@ -78,9 +78,16 @@ static SERIAL: Mutex<()> = Mutex::new(());
 fn assert_zero_alloc_steady_state(kernel: Arc<dyn Kernel>) {
     let name = kernel.name();
     let sd = kernel.source_dim();
-    // The defaults ARE the gated configuration (fft-batched M2L,
-    // threads 1).
-    let f = Fmm::new(kernel, FmmConfig::default());
+    // The default engines are the gated configuration (fft-batched M2L,
+    // threads 1). `q` is pinned: the model's default would leave 1500
+    // points too few leaves to populate every list.
+    let f = Fmm::new(
+        kernel,
+        FmmConfig {
+            q: 64,
+            ..Default::default()
+        },
+    );
     // Plummer is centrally clustered, so the adaptive tree refines
     // unevenly and the U/V/W/X lists are all non-trivially populated.
     let mut pts = plummer(1500, 4242, 0);
@@ -95,7 +102,10 @@ fn assert_zero_alloc_steady_state(kernel: Arc<dyn Kernel>) {
         let mut out = Vec::new();
         // Two warm-ups: the first builds the workspace and near field,
         // the second settles every lazily grown scratch capacity.
-        f.apply_into(c, &mut plan, &den, &mut out);
+        let prof = f.apply_into(c, &mut plan, &den, &mut out);
+        for ph in [Phase::UList, Phase::VList, Phase::WList, Phase::XList] {
+            assert!(prof.flops(ph) > 0, "{name}: {} is empty", ph.label());
+        }
         f.apply_into(c, &mut plan, &den, &mut out);
         let warm = out.clone();
         let before = ALLOC_CALLS.load(Ordering::Relaxed);

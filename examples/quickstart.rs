@@ -28,15 +28,16 @@ fn main() {
         .collect();
 
     // An FMM evaluator for the Laplace kernel. Order 6 gives ~5 digits;
-    // see FmmConfig for the other knobs (q, M2L mode, load balancing).
+    // the points-per-leaf bound q is left to the cost model. See
+    // FmmConfig for the other knobs (M2L mode, load balancing).
     let fmm = Fmm::new(
         Arc::new(Laplace),
         FmmConfig {
             order: 6,
-            q: 100,
             ..Default::default()
         },
     );
+    println!("q = {} points per leaf", fmm.config().q);
 
     // Evaluate on a single rank (pass p > 1 for distributed execution —
     // the API is identical).

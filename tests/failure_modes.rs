@@ -105,19 +105,14 @@ fn fmm_rejects_order_one() {
     );
 }
 
+/// `FmmConfig::q == 0` means "the model's choice", so the zero bound is
+/// rejected where it would do harm: the octree refinement.
 #[test]
 #[should_panic(expected = "rank thread panicked")]
-fn fmm_rejects_zero_q() {
-    let fmm = Fmm::new(
-        Arc::new(Laplace),
-        FmmConfig {
-            order: 4,
-            q: 0,
-            ..Default::default()
-        },
-    );
+fn octree_rejects_zero_q() {
     mpisim::run(1, |c| {
-        fmm.evaluate(c, vec![PointRec::scalar([0.5, 0.5, 0.5], 1.0, 0)]);
+        let pts = vec![PointRec::scalar([0.5, 0.5, 0.5], 1.0, 0)];
+        pfmm::tree::points_to_octree(c, pts, 0);
     });
 }
 

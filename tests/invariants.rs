@@ -4,9 +4,10 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
+use pfmm::fmm::distrib::{ellipsoid_1_1_4, randomize_densities, uniform_cube};
 use pfmm::fmm::driver::gather_potentials;
-use pfmm::fmm::{Fmm, FmmConfig};
-use pfmm::kernels::{direct_eval, Laplace};
+use pfmm::fmm::{Fmm, FmmConfig, Phase};
+use pfmm::kernels::{direct_eval, Kernel, Laplace, Stokes};
 use pfmm::morton::{is_complete_linear, MortonKey};
 use pfmm::mpisim;
 use pfmm::tree::{build_let, build_lists, points_to_octree, PointRec};
@@ -192,5 +193,81 @@ fn harness_sanity() {
     direct_eval(&Laplace, &pos, &pos, &den, &mut want);
     for (gid, v) in got {
         assert!((v[0] - want[gid as usize]).abs() < 1e-5 * want[gid as usize].abs().max(1.0));
+    }
+}
+
+/// A fresh evaluator reproduces a warm one bit for bit under the default
+/// configuration, whose leaf bound `q` comes from the cost model: a new
+/// `Fmm::new` resolves the same `q`, builds the same tree, and its
+/// plan + apply gives the same potentials as an evaluator whose caches
+/// an earlier geometry filled. Laplace at the default order on one
+/// rank, Stokes at order 4 on two ranks over the adaptive ellipsoid.
+#[test]
+fn cold_start_matches_warm_evaluator_bitwise_at_default_config() {
+    type Case = (
+        Arc<dyn Kernel>,
+        usize,
+        usize,
+        fn(usize, u64, u64) -> Vec<PointRec>,
+    );
+    let cases: [Case; 2] = [
+        (
+            Arc::new(Laplace),
+            FmmConfig::default().order,
+            1,
+            uniform_cube,
+        ),
+        (Arc::new(Stokes::default()), 4, 2, ellipsoid_1_1_4),
+    ];
+    for (kernel, order, ranks, dist) in cases {
+        let name = kernel.name();
+        let (sd, td) = (kernel.source_dim(), kernel.target_dim());
+        let geometry = |seed: u64| {
+            let mut pts = dist(3000, seed, 0);
+            randomize_densities(&mut pts, sd, seed + 1);
+            pts
+        };
+        // (gid, potential bits) over all ranks, and the V-list flops.
+        let plan_apply = |fmm: &Fmm, pts: &[PointRec]| {
+            let parts = mpisim::run(ranks, |c| {
+                let mine: Vec<PointRec> =
+                    pts.iter().skip(c.rank()).step_by(ranks).copied().collect();
+                let mut plan = fmm.plan(c, mine);
+                // Generated gids are the point indices.
+                let den: Vec<f64> = plan
+                    .owned_gids()
+                    .iter()
+                    .flat_map(|&g| pts[g as usize].den[..sd].to_vec())
+                    .collect();
+                let (pot, prof) = fmm.apply(c, &mut plan, &den);
+                (plan.owned_gids().to_vec(), pot, prof.flops(Phase::VList))
+            });
+            let vflops: u64 = parts.iter().map(|p| p.2).sum();
+            let mut bits: Vec<(u64, Vec<u64>)> = Vec::new();
+            for (gids, pot, _) in parts {
+                for (g, row) in gids.into_iter().zip(pot.chunks_exact(td)) {
+                    bits.push((g, row.iter().map(|v| v.to_bits()).collect()));
+                }
+            }
+            bits.sort();
+            (bits, vflops)
+        };
+        let cfg = FmmConfig {
+            order,
+            ..Default::default()
+        };
+        let warm = Fmm::new(kernel.clone(), cfg);
+        plan_apply(&warm, &geometry(11));
+        let (want, vflops) = plan_apply(&warm, &geometry(12));
+        let cold = Fmm::new(kernel.clone(), cfg);
+        let (got, _) = plan_apply(&cold, &geometry(12));
+        assert!(warm.config().q > 0, "{name}: q resolved");
+        assert_eq!(cold.config().q, warm.config().q, "{name}: same q");
+        assert!(vflops > 0, "{name}: the tree has V lists");
+        assert_eq!(got.len(), 3000, "{name}: every point once");
+        assert!(
+            got == want,
+            "{name}: cold start differs from the warm evaluator"
+        );
     }
 }
