@@ -1,12 +1,12 @@
 //! Micro-benchmarks of the tree substrate: distributed sorts, LET
-//! construction, list building, and 2:1 balancing.
+//! construction, list building, and a small GMRES solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pfmm_core::distrib::{randomize_densities, uniform_cube};
 use pfmm_core::solve::gmres;
 use pfmm_mpisim::run;
 use pfmm_tree::{
-    balance_2to1, bitonic_sort_points, build_let, build_lists, points_to_octree, sample_sort_points,
+    bitonic_sort_points, build_let, build_lists, points_to_octree, sample_sort_points,
 };
 use std::hint::black_box;
 
@@ -44,16 +44,6 @@ fn bench_tree(c: &mut Criterion) {
                 black_box(lists.u.total())
             })
         })
-    });
-
-    g.bench_function("balance_2to1_deep_tree", |b| {
-        let mut seeds = Vec::new();
-        let mut k = pfmm_morton::MortonKey::root();
-        for child in [0usize, 7, 3, 5, 1, 6, 2, 4] {
-            k = k.child(child);
-            seeds.push(k);
-        }
-        b.iter(|| black_box(balance_2to1(seeds.clone()).len()))
     });
 
     g.bench_function("gmres_identity_64", |b| {

@@ -49,7 +49,9 @@ impl Kernel for LaplaceDipole {
 
     fn flops_per_pair(&self) -> u64 {
         // diff (3), r² (5), rsqrt + r³ (≈6), 3 scaled components + dot
-        // accumulate (≈9).
+        // accumulate (≈9), an FMA counted as 2. It counts the reference
+        // formula, not what the tile body (`tile::dipole_tiles`) issues,
+        // and is kept so that `tune::model_q` does not move.
         25
     }
 

@@ -34,7 +34,10 @@ impl Kernel for Laplace {
 
     fn flops_per_pair(&self) -> u64 {
         // diff (3), squares+adds (5), rsqrt (~4), scale+accumulate (~8):
-        // the conventional 20 flops/interaction of N-body accounting.
+        // the conventional 20 flops/interaction of N-body accounting, an
+        // FMA counted as 2. It counts the reference formula, not what the
+        // tile body (`tile::laplace_tiles`) issues, and is kept so that
+        // `tune::model_q`, and with it every tree, does not move.
         20
     }
 

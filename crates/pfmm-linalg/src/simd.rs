@@ -9,10 +9,12 @@
 /// it at full register width; the tier is detected at runtime and is
 /// fixed per process.
 ///
-/// Every body dispatched this way uses plain `*`/`+` (rustc never
-/// contracts them into an FMA), so the wider tiers only change how many
-/// lanes run at once, never a per-element rounding: every tier
-/// produces bitwise-identical results.
+/// Every body dispatched this way uses plain `*`/`+`, which rustc never
+/// contracts into an FMA, or an explicit `f64::mul_add`, which is
+/// correctly rounded on every tier (hardware FMA under the AVX2 and
+/// AVX-512 tiers, libm `fma` on the portable one). So the wider tiers
+/// only change how many lanes run at once, never a per-element
+/// rounding: every tier produces bitwise-identical results.
 ///
 /// ```ignore
 /// pfmm_linalg::simd_dispatch!(fn axpy(a: f64, x: &[f64], y: &mut [f64]) => axpy_body);

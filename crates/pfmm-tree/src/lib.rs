@@ -20,7 +20,6 @@
 //! Everything works unchanged at `p = 1`, which is how the sequential FMM
 //! driver uses it.
 
-pub mod balance;
 pub mod bitonic;
 pub mod dtree;
 pub mod lett;
@@ -31,7 +30,6 @@ pub mod psort;
 pub mod sort;
 pub mod stats;
 
-pub use balance::{balance_2to1, is_balanced_2to1};
 pub use bitonic::{bitonic_sort_points, bitonic_sort_points_with};
 pub use dtree::{
     octree_from_sorted, octree_from_sorted_with, points_to_octree, repartition_by_weight, DistTree,

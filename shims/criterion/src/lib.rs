@@ -1,13 +1,14 @@
 //! Offline stand-in for `criterion`: the harness subset pfmm's benches
-//! use (`benchmark_group`, `bench_function`, `iter`, `iter_batched`,
-//! `criterion_group!`/`criterion_main!`).
+//! use (`benchmark_group`, `throughput`, `bench_function`, `iter`,
+//! `iter_batched`, `criterion_group!`/`criterion_main!`).
 //!
 //! The build environment has no crates.io access. Like the real crate,
 //! the harness distinguishes `cargo bench` from `cargo test`: cargo
 //! passes `--bench` to bench binaries only under `cargo bench`, so
 //! without it every benchmark body runs exactly once as a smoke test.
 //! Under `cargo bench` each benchmark is warmed once and then sampled
-//! `sample_size` times; min/mean/max wall-clock are printed per sample.
+//! `sample_size` times; min/mean/max wall-clock are printed per sample,
+//! and with a [`Throughput`] set, the minimum time per element too.
 
 use std::time::{Duration, Instant};
 
@@ -20,6 +21,13 @@ pub enum BatchSize {
     SmallInput,
     LargeInput,
     PerIteration,
+}
+
+/// Work done by one iteration of a benchmark, for a per-element time.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Throughput {
+    /// Elements processed per iteration.
+    Elements(u64),
 }
 
 /// Top-level harness state.
@@ -44,6 +52,7 @@ impl Criterion {
             name: name.to_string(),
             sample_size: self.default_sample_size,
             bench_mode: self.bench_mode,
+            throughput: None,
             _c: self,
         }
     }
@@ -56,7 +65,7 @@ impl Criterion {
     {
         let mode = self.bench_mode;
         let n = self.default_sample_size;
-        run_one("", &id.into(), n, mode, f);
+        run_one("", &id.into(), n, mode, None, f);
         self
     }
 }
@@ -66,6 +75,7 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
     bench_mode: bool,
+    throughput: Option<Throughput>,
     _c: &'a mut Criterion,
 }
 
@@ -76,13 +86,26 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Set the work per iteration of the benchmarks defined after it.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     /// Define and immediately run one benchmark.
     pub fn bench_function<I, F>(&mut self, id: I, f: F) -> &mut Self
     where
         I: Into<String>,
         F: FnMut(&mut Bencher),
     {
-        run_one(&self.name, &id.into(), self.sample_size, self.bench_mode, f);
+        run_one(
+            &self.name,
+            &id.into(),
+            self.sample_size,
+            self.bench_mode,
+            self.throughput,
+            f,
+        );
         self
     }
 
@@ -95,6 +118,7 @@ fn run_one<F: FnMut(&mut Bencher)>(
     id: &str,
     samples: usize,
     bench_mode: bool,
+    throughput: Option<Throughput>,
     mut f: F,
 ) {
     let label = if group.is_empty() {
@@ -128,8 +152,12 @@ fn run_one<F: FnMut(&mut Bencher)>(
         .copied()
         .unwrap_or_default()
         .as_secs_f64();
+    let per = match throughput {
+        Some(Throughput::Elements(n)) => format!("  {:.4e}s/elem", min / n.max(1) as f64),
+        None => String::new(),
+    };
     println!(
-        "bench {label}: min {:.4e}s  mean {:.4e}s  max {:.4e}s  ({} samples)",
+        "bench {label}: min {:.4e}s  mean {:.4e}s  max {:.4e}s  ({} samples){per}",
         min,
         mean,
         max,
@@ -241,6 +269,7 @@ mod tests {
         };
         let mut g = c.benchmark_group("g");
         g.sample_size(2)
+            .throughput(Throughput::Elements(2))
             .bench_function("noop", |b| b.iter(|| 1 + 1));
         g.finish();
     }
