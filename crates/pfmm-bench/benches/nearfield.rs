@@ -1,10 +1,12 @@
-//! Near-field (U-list) throughput per pair: one thread of
-//! `NearField::eval_range` over every target box of a one-rank tree, at
-//! the cost model's q, on the two benchmark geometries — 100k uniform
-//! Laplace points (order 6) and 50k Stokes points on the 1:1:4
-//! ellipsoid (order 4, small W/X pairs demoted to direct rows as the
-//! plan does). The throughput is the real (unpadded) pair count, so the
-//! harness prints seconds per pair.
+//! Near-field (U-list) throughput per pair: `NearField::eval` (own rows,
+//! colored mutual pairs, mirror fold) over every target box of a
+//! one-rank tree at 1 and 2 threads, at the cost model's q, on the two
+//! benchmark geometries — 100k uniform Laplace points (order 6) and 50k
+//! Stokes points on the 1:1:4 ellipsoid (order 4, small W/X pairs
+//! demoted to direct rows as the plan does) — plus Yukawa on the uniform
+//! set, whose libm `exp` the mutual body calls once per pair. The
+//! throughput is the delivered one-way real (unpadded) pair count, so the
+//! harness prints seconds per delivered pair.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pfmm_core::distrib::{ellipsoid_1_1_4, randomize_densities, uniform_cube};
@@ -12,7 +14,7 @@ use pfmm_core::exec::EvalData;
 use pfmm_core::surface::surface_points;
 use pfmm_core::tune::model_q;
 use pfmm_core::NearField;
-use pfmm_kernels::{Kernel, Laplace, Stokes};
+use pfmm_kernels::{Kernel, Laplace, Stokes, Yukawa};
 use pfmm_mpisim::run;
 use pfmm_tree::{build_let, build_lists, points_to_octree, PointRec, SetupPar};
 use std::hint::black_box;
@@ -44,18 +46,20 @@ fn bench_case(
     let mut g = c.benchmark_group("nearfield");
     g.sample_size(10)
         .throughput(Throughput::Elements(nf.real_pairs));
-    g.bench_function(format!("{name}_q{q}"), |b| {
-        b.iter(|| {
-            black_box(nf.eval_range(tk, td, kernel.flops_per_pair(), 0..l.len(), &mut out, 0))
-        })
-    });
+    for threads in [1, 2] {
+        let mut sw = nf.sweep(threads, td);
+        g.bench_function(format!("{name}_q{q}_t{threads}"), |b| {
+            b.iter(|| black_box(nf.eval(tk, &mut sw, &mut out, &|part| part())))
+        });
+    }
     g.finish();
 }
 
 fn bench_nearfield(c: &mut Criterion) {
     let mut pts = uniform_cube(100_000, 1, 0);
     randomize_densities(&mut pts, 1, 2);
-    bench_case(c, "laplace_uniform_100k_p6", &Laplace, pts, 6);
+    bench_case(c, "laplace_uniform_100k_p6", &Laplace, pts.clone(), 6);
+    bench_case(c, "yukawa_uniform_100k_p6", &Yukawa { lambda: 3.0 }, pts, 6);
 
     let mut pts = ellipsoid_1_1_4(50_000, 3, 0);
     randomize_densities(&mut pts, 3, 4);

@@ -243,15 +243,11 @@ struct Ctx<'a> {
     lists: &'a Lists,
     leaf_pos: &'a [Vec<Point3>],
     leaf_den: &'a [Vec<f64>],
-    /// Tiled near-field layout; `None` only for a kernel without tile
-    /// microkernels, which runs the scalar U-list path.
-    nf: Option<&'a NearField>,
     /// Workspace-owned V list regrouped by target parent (fft-batched
     /// mode).
     sib: &'a SiblingIndex,
-    /// Tile microkernels for the U-list and the per-box point↔surface
-    /// direct evals (S2U check, D2T, W, X); `None` falls back to the
-    /// scalar `direct_eval`.
+    /// Tile microkernels for the per-box point↔surface direct evals (S2U
+    /// check, D2T, W, X); `None` falls back to the scalar `direct_eval`.
     tk: Option<&'a dyn TileKernel>,
     ulen: usize,
     clen: usize,
@@ -270,7 +266,6 @@ impl Ctx<'_> {
         l: &'a Let,
         lists: &'a Lists,
         data: &'a EvalData,
-        nf: Option<&'a NearField>,
         sib: &'a SiblingIndex,
     ) -> Ctx<'a> {
         Ctx {
@@ -281,7 +276,6 @@ impl Ctx<'_> {
             lists,
             leaf_pos: &data.leaf_pos,
             leaf_den: &data.leaf_den,
-            nf,
             sib,
             tk: fmm.kernel().as_tile_kernel(),
             ulen: fmm.ops().density_len(),
@@ -426,15 +420,10 @@ impl Ctx<'_> {
     }
 
     /// Direct near-field interactions (U-list) for target leaves in
-    /// `range`; `window` is the matching point-potential slice. With a
-    /// tiled layout present this dispatches to the SoA microkernels —
-    /// same target boxes, same per-target accumulation order (CSR rows
-    /// sorted by source box), so any range cut stays bitwise identical.
-    /// Kernels without tile microkernels take the scalar loop below.
+    /// `range` through the scalar kernel, for kernels without tile
+    /// microkernels (the rest run [`NearField::eval`]); `window` is the
+    /// matching point-potential slice.
     fn uli_range(&self, range: Range<usize>, window: &mut [f64], base: usize) -> u64 {
-        if let (Some(nf), Some(tk)) = (self.nf, self.tk) {
-            return nf.eval_range(tk, self.td, self.flops_pair, range, window, base);
-        }
         let (l, td) = (self.l, self.td);
         let mut fl = 0u64;
         for bi in range {
@@ -764,13 +753,15 @@ pub fn run_phases(
     prof: &mut Profile,
     tracer: &Tracer,
 ) -> CommStats {
-    // The tiled near-field layout is built on the workspace's first run, density-refreshed in place afterwards.
-    // Both costs are charged to the U-list phase, the same way the GPU
-    // pipeline charges its data-structure translation. Kernels without
-    // tile microkernels have no layout and run the scalar U-list.
+    // The tiled near-field layout and its pair schedule are built on the
+    // workspace's first run, together with the sweep (per-thread cuts and
+    // the mirror), and density-refreshed in place afterwards. Both costs
+    // are charged to the U-list phase, the same way the GPU pipeline
+    // charges its data-structure translation. Kernels without tile
+    // microkernels have no layout and run the scalar U-list.
     if fmm.kernel().as_tile_kernel().is_some() {
         match ws.nf.as_mut() {
-            Some(nf) => {
+            Some((nf, _)) => {
                 let t0 = std::time::Instant::now();
                 nf.refresh_densities(&data.leaf_den);
                 let secs = t0.elapsed().as_secs_f64();
@@ -788,31 +779,10 @@ pub fn run_phases(
                 );
                 prof.add_secs(Phase::UList, nf.build_secs);
                 prof.nf_build_secs += nf.build_secs;
-                ws.nf = Some(nf);
+                let sw = nf.sweep(fmm.config().threads, fmm.kernel().target_dim());
+                ws.nf = Some((nf, sw));
             }
         }
-    }
-    // U-list chunk weights, cached on first use: tiled chunks are
-    // weighted by padded pairs (wall time follows the lanes actually
-    // evaluated), scalar chunks by real pairs.
-    if ws.uli_weights.is_empty() {
-        ws.uli_weights = match ws.nf.as_ref() {
-            Some(nf) => nf.oct_weights().to_vec(),
-            None => (0..l.len())
-                .map(|bi| {
-                    if !l.owned[bi] || data.leaf_pos[bi].is_empty() {
-                        return 0;
-                    }
-                    let n = data.leaf_pos[bi].len() as u64;
-                    lists
-                        .u
-                        .row(bi)
-                        .iter()
-                        .map(|&ai| n * data.leaf_pos[ai as usize].len() as u64)
-                        .sum()
-                })
-                .collect(),
-        };
     }
     // Zero the phase accumulators (sized once at workspace creation).
     ws.u.fill(0.0);
@@ -827,10 +797,9 @@ pub fn run_phases(
     // the near field and spectrum table while the phase buffers are
     // written and worker scratch is checked out of the pool.
     let EvalWorkspace {
-        ref nf,
+        ref mut nf,
         ref sib,
         ref pool,
-        ref uli_weights,
         ref vli_weights,
         ref mut u,
         ref mut has_up,
@@ -843,7 +812,7 @@ pub fn run_phases(
         ref mut src,
         ..
     } = *ws;
-    let cx = Ctx::new(fmm, l, lists, data, nf.as_ref(), sib);
+    let cx = Ctx::new(fmm, l, lists, data, sib);
     let threads = cfg.threads.max(1);
     let noct = l.len();
     let (ulen, clen, td) = (cx.ulen, cx.clen, cx.td);
@@ -914,18 +883,37 @@ pub fn run_phases(
     let u: &[f64] = u; // read-only from here on
     let has_up: &[bool] = has_up;
 
-    // Direct interactions (U-list); parallel over target leaves, with
-    // ranges cut by interaction count (source·target point products) —
-    // adaptive trees concentrate the near-field work in the refined
-    // regions, which starves count-based chunks. Runs first among the
-    // potential writers: the per-point accumulation order is U, D2T, W.
+    // Direct interactions (U-list): the near field's own rows, colored
+    // mutual pairs and mirror fold, one task span per worker per part.
+    // Runs first among the potential writers: the per-point accumulation
+    // order is U, D2T, W. The scalar path cuts its target ranges by
+    // interaction count (source·target point products) — adaptive trees
+    // concentrate the near-field work in the refined regions, which
+    // starves count-based chunks.
     let pt_base = &|i: usize| l.pt_off[i.min(noct)] * td;
     pt.phase(Phase::UList, || {
         prof.timed(Phase::UList, |prof| {
-            let flops =
-                par_windows_weighted(threads, uli_weights, f, pt_base, |range, window, base| {
-                    pt.chunk(Phase::UList, || cxr.uli_range(range, window, base))
-                });
+            let flops = match (nf.as_mut(), cx.tk) {
+                (Some((nf, sw)), Some(tk)) => {
+                    nf.eval(tk, sw, f, &|run| pt.chunk(Phase::UList, run))
+                }
+                _ => {
+                    let pairs: Vec<u64> = (0..noct)
+                        .map(|bi| {
+                            if !l.owned[bi] || data.leaf_pos[bi].is_empty() {
+                                return 0;
+                            }
+                            let n = data.leaf_pos[bi].len() as u64;
+                            let row = lists.u.row(bi).iter();
+                            row.map(|&ai| n * data.leaf_pos[ai as usize].len() as u64)
+                                .sum()
+                        })
+                        .collect();
+                    par_windows_weighted(threads, &pairs, f, pt_base, |range, window, base| {
+                        pt.chunk(Phase::UList, || cxr.uli_range(range, window, base))
+                    })
+                }
+            };
             prof.add_flops(Phase::UList, flops);
         })
     });

@@ -67,7 +67,7 @@ pub use driver::{
     gather_potentials, route_potentials, Fmm, FmmConfig, M2lMode, PotentialResult, Reduction,
     SortKind,
 };
-pub use nearfield::NearField;
+pub use nearfield::{NearField, Sweep};
 pub use plan::{plan_fingerprint, FmmPlan, PlanFingerprint};
 pub use profile::{Phase, Profile};
 pub use workspace::EvalWorkspace;

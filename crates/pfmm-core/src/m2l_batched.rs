@@ -46,7 +46,6 @@
 //! thread count or SIMD tier, so any thread count produces
 //! bitwise-identical potentials.
 
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -54,7 +53,7 @@ use pfmm_kernels::Kernel;
 use pfmm_tree::{Let, Lists};
 
 use crate::ops::level_radius;
-use crate::par::par_map_n;
+use crate::par::{par_map_n, Disjoint};
 use crate::profile::flop_model;
 use crate::small_dft::{DftScratch, PrunedDft3};
 use crate::surface::{surface_grid_indices, RAD_INNER};
@@ -160,39 +159,6 @@ impl Lanes {
     };
 }
 
-/// A block array that concurrent workers fill at disjoint indices.
-struct Disjoint<'a> {
-    ptr: *mut Lanes,
-    len: usize,
-    _out: PhantomData<&'a mut [Lanes]>,
-}
-
-// SAFETY: `ptr`/`len` describe a `[Lanes]` exclusively borrowed for `'a`
-// (held by `_out`), so no one else touches it while a `Disjoint` lives;
-// `Lanes` is plain `f64` data, and the only access, `write`, is an
-// `unsafe fn` whose callers guarantee that concurrent writers use
-// disjoint indices.
-unsafe impl Send for Disjoint<'_> {}
-unsafe impl Sync for Disjoint<'_> {}
-
-impl<'a> Disjoint<'a> {
-    fn new(out: &'a mut [Lanes]) -> Disjoint<'a> {
-        Disjoint {
-            ptr: out.as_mut_ptr(),
-            len: out.len(),
-            _out: PhantomData,
-        }
-    }
-
-    /// # Safety
-    /// No other thread may access index `i` while this runs.
-    #[inline]
-    unsafe fn write(&self, i: usize, v: Lanes) {
-        assert!(i < self.len);
-        self.ptr.add(i).write(v);
-    }
-}
-
 /// Scatter `sd` split-complex planes of `gh` values each into the
 /// chunk-major blocks of item `item` (of `items`):
 /// `[chunk][item][component]`.
@@ -206,7 +172,7 @@ unsafe fn scatter_chunks(
     gh: usize,
     item: usize,
     items: usize,
-    out: &Disjoint<'_>,
+    out: &Disjoint<'_, Lanes>,
 ) {
     for c in 0..gh / LANES {
         for comp in 0..sd {

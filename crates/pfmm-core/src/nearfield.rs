@@ -6,32 +6,50 @@
 //! [`NearField`] pays a one-time translation cost instead (the
 //! Hu/Gumerov/Duraiswami argument: flat interaction representations beat
 //! pointer walks): leaf points and densities are packed into separate
-//! x/y/z/density *planes* whose per-box source length is padded to
-//! [`LANE`], padding lanes carrying zero density at a far-away sentinel —
-//! exactly the GPU layout's discipline, in f64. The direct rows it
-//! evaluates are the plan's `lists.u`: the U-list proper plus the small
-//! W/X pairs the plan demoted to direct interactions
-//! ([`pfmm_tree::Lists::demote_small_wx`]) — every pair whose sources are
-//! cheaper to evaluate point by point than through a surface. They
-//! become a CSR over target boxes with each row's entries **sorted by
-//! source box id**, so consecutive target boxes (which share most of
-//! their U neighbours) walk source tiles in the same ascending order and
-//! each tile is resolved once per batch while hot in cache.
+//! x/y/z/density *planes* whose per-box length is padded to [`LANE`],
+//! padding lanes carrying zero density at a far-away sentinel — exactly
+//! the GPU layout's discipline, in f64. An owned target box's points are
+//! the first lanes of its own source box, so targets and their densities
+//! are read from the same planes. The direct rows it evaluates are the
+//! plan's `lists.u`: the U-list proper plus the small W/X pairs the plan
+//! demoted to direct interactions ([`pfmm_tree::Lists::demote_small_wx`])
+//! — every pair whose sources are cheaper to evaluate point by point than
+//! through a surface.
 //!
-//! Evaluation goes through [`pfmm_kernels::TileKernel::eval_tiles`] —
-//! one virtual call per U-edge, monomorphized branch-free microkernels
-//! inside (the `max(NaN, x)` self-interaction trick; see
-//! `pfmm-kernels::tile`). Per-target accumulation order is fixed by the
-//! sorted CSR and the microkernels' lane reduction, so any chunking of
-//! the octant range produces bitwise-identical potentials.
+//! # Own rows and mutual pairs
+//!
+//! The direct rows are symmetric between owned boxes (U is adjacency, and
+//! a W pair is demoted exactly when its mirror X pair is), so the build
+//! splits each row in two:
+//!
+//! * **own-row entries** — the self tile and every source box with no
+//!   owned target box (ghost leaves on multi-rank runs) — run one way
+//!   through [`TileKernel::eval_tiles`], parallel over target boxes;
+//! * **mutual pairs** `(A, B)`, `A < B`, both owned target boxes, run once
+//!   through [`TileKernel::eval_mutual`], which adds B's sources into A's
+//!   potentials and A's sources into a mirror of B's lanes. After the
+//!   last pair the mirror is folded into the potentials, scaled by
+//!   [`TileKernel::tile_scale`].
+//!
+//! The mutual pairs are greedily edge-colored at build time, in `(A, B)`
+//! order: each pair takes the first color free at both of its boxes. No
+//! box appears twice in one color, so the pairs of a color write disjoint
+//! potentials and mirror lanes and may run on any threads. The colors run
+//! in a fixed order with a barrier between them ([`NearField::eval`]), so
+//! every point's summation order — own rows in source-box order, then its
+//! mutual pairs as A in color order, then the folded mirror, whose lanes
+//! sum in color order too — is fixed by the plan, and the potentials are
+//! bitwise identical at every thread count. The per-thread cuts and the
+//! mirror live in a [`Sweep`], built once per workspace.
 
 use std::ops::Range;
+use std::sync::Barrier;
 use std::time::Instant;
 
-use pfmm_kernels::{Point3, TileKernel, Tiles, LANE};
+use pfmm_kernels::{BoxTiles, Point3, TileKernel, LANE};
 use pfmm_tree::{Let, Lists, SetupPar};
 
-use crate::par::{chunk_cuts, par_map_n};
+use crate::par::{chunk_cuts, par_map_n, weighted_cuts, Disjoint};
 use crate::profile::flop_model;
 
 /// Sentinel position of padding lanes: far outside the unit cube, so a
@@ -40,8 +58,13 @@ use crate::profile::flop_model;
 /// `pfmm-gpusim`'s `[-1e9; 3]` source padding.
 pub const PAD_POS: f64 = -1.0e9;
 
-/// Padded SoA tiles for the near field plus the CSR U-list over target
-/// boxes, and the measured cost of building them.
+/// Lanes a box of `n` points occupies in the planes.
+fn pad(n: usize) -> usize {
+    n.div_ceil(LANE) * LANE
+}
+
+/// Padded SoA tiles for the near field, the split direct rows and their
+/// pair schedule, and the measured cost of building them.
 pub struct NearField {
     /// Density components per source point.
     pub sd: usize,
@@ -67,43 +90,102 @@ pub struct NearField {
     /// `sden[off*sd + c*(end-off) + j]`. Padding lanes are `0.0`.
     pub sden: Vec<f64>,
 
-    /// Target box id for each LET octant (`-1` if not an owned
-    /// point-carrying leaf) — the same skip condition as the scalar path.
-    pub tgt_box_of_oct: Vec<i32>,
-    /// Per target box: the LET octant it evaluates.
+    /// Per target box (an owned point-carrying leaf, the scalar path's
+    /// skip condition): the LET octant it evaluates.
     pub tgt_oct: Vec<u32>,
+
+    // The fields below decide which potentials and mirror lanes each
+    // worker of `eval` writes, so they stay private to this module: the
+    // disjointness its unsafe writes rely on is set up here and nowhere
+    // else.
     /// Per target box: offset into the LET point storage (`l.pt_off`),
     /// for indexing the output potential array.
-    pub tgt_pt_off: Vec<u32>,
-    /// Per target box: offset into the (unpadded) target planes.
-    pub tgt_coff: Vec<u32>,
+    tgt_pt_off: Vec<u32>,
     /// Per target box: point count.
-    pub tgt_cnt: Vec<u32>,
-    /// Target coordinate planes, unpadded — the outer microkernel loop
-    /// walks real targets only.
-    pub tx: Vec<f64>,
-    pub ty: Vec<f64>,
-    pub tz: Vec<f64>,
+    tgt_cnt: Vec<u32>,
+    /// Per target box: its source box, whose first `tgt_cnt` lanes are
+    /// the box's points in the same order.
+    tgt_src: Vec<u32>,
+    /// Per target box: start of its padded lanes in the mirror (`td`
+    /// planes per box, so its mirror starts at `td · tgt_moff`).
+    tgt_moff: Vec<u32>,
+    /// Padded lanes of all target boxes together: the mirror holds `td`
+    /// times this many values.
+    mirror_lanes: usize,
+    /// Own-row entries in CSR over target boxes: source box ids, sorted
+    /// ascending within each row (source boxes are numbered in octant
+    /// order, so this is Morton order).
+    own_off: Vec<u32>,
+    own: Vec<u32>,
+    /// Mutual pairs `[A, B]` of target boxes, `A < B`, grouped by color;
+    /// within a color in `(A, B)` order.
+    pairs: Vec<[u32; 2]>,
+    /// CSR over colors into `pairs`.
+    color_off: Vec<u32>,
 
-    /// U-list in CSR over target boxes; entries are source box ids,
-    /// sorted ascending within each row (source boxes are numbered in
-    /// octant order, so this is Morton order — the fixed accumulation
-    /// order at every chunking).
-    pub ulist_off: Vec<u32>,
-    pub ulist: Vec<u32>,
-
-    /// Per-octant padded pair counts (`nt · ns_padded` summed over the
-    /// row) — the U-list chunk weights: wall time follows
-    /// padded lanes, not real pairs.
-    weights: Vec<u64>,
-    /// Total real source/target pairs (flop accounting stays real).
+    /// Total real source/target pairs the rows deliver, one way (flop
+    /// accounting stays real).
     pub real_pairs: u64,
-    /// Total padded pairs actually evaluated.
+    /// Total padded pairs the bodies actually evaluate: each mutual
+    /// pair's points counted once.
     pub padded_pairs: u64,
 
     /// Wall-clock seconds spent building this layout (charged to the
     /// U-list phase, the same way the GPU run charges translation).
     pub build_secs: f64,
+}
+
+/// The per-thread work split of one [`NearField`] schedule and the mirror
+/// it accumulates into: built once, so that a warm [`NearField::eval`]
+/// allocates nothing.
+pub struct Sweep {
+    threads: usize,
+    /// `threads + 1` cuts over target boxes for the own-row part.
+    own_cuts: Vec<u32>,
+    /// Per color, `threads + 1` cuts into `NearField::pairs`.
+    pair_cuts: Vec<u32>,
+    /// `threads + 1` cuts over target boxes for the mirror fold.
+    fold_cuts: Vec<u32>,
+    /// `td` planes of padded lanes per target box; all zero between
+    /// evaluations (the fold clears what it reads).
+    mirror: Vec<f64>,
+}
+
+impl Sweep {
+    /// Whether this sweep splits `nf`'s schedule for `td`-component
+    /// potentials: every part's cuts span exactly its range, so the
+    /// (monotone) cuts hand each worker a disjoint share of it.
+    fn fits(&self, nf: &NearField, td: usize) -> bool {
+        let (t, ntgt) = (self.threads, nf.num_tgt_boxes() as u32);
+        let spans =
+            |cuts: &[u32], lo: u32, hi: u32| cuts.first() == Some(&lo) && cuts.last() == Some(&hi);
+        self.mirror.len() == td * nf.mirror_lanes
+            && self.own_cuts.len() == t + 1
+            && spans(&self.own_cuts, 0, ntgt)
+            && self.fold_cuts.len() == t + 1
+            && spans(&self.fold_cuts, 0, ntgt)
+            && self.pair_cuts.len() == nf.num_colors() * (t + 1)
+            && self
+                .pair_cuts
+                .chunks_exact(t + 1)
+                .zip(nf.color_off.windows(2))
+                .all(|(cuts, c)| spans(cuts, c[0], c[1]))
+    }
+
+    /// Heap bytes held by the cuts and the mirror.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.own_cuts.capacity() + self.pair_cuts.capacity() + self.fold_cuts.capacity())
+            * size_of::<u32>()
+            + self.mirror.capacity() * size_of::<f64>()
+    }
+}
+
+/// Contiguous weighted cuts as `u32`.
+fn cuts_u32(parts: usize, weights: &[u64], base: usize) -> impl Iterator<Item = u32> {
+    weighted_cuts(parts, weights)
+        .into_iter()
+        .map(move |c| (base + c) as u32)
 }
 
 impl NearField {
@@ -119,13 +201,13 @@ impl NearField {
         NearField::build_with(l, lists, leaf_pos, leaf_den, sd, SetupPar::Serial)
     }
 
-    /// [`NearField::build`] with the plane fills and per-row CSR
-    /// construction parallelized under `par`. The source planes are
-    /// filled chunk-by-chunk (chunk boundaries fall on padded box
-    /// boundaries, so chunks own disjoint ranges and concatenate to the
-    /// serial layout byte for byte); the per-target sorted U rows are
-    /// independent and reassembled in octant order. The result is
-    /// identical to the serial build.
+    /// [`NearField::build`] with the plane fills and per-row sorting
+    /// parallelized under `par`. The source planes are filled
+    /// chunk-by-chunk (chunk boundaries fall on padded box boundaries, so
+    /// chunks own disjoint ranges and concatenate to the serial layout
+    /// byte for byte); the per-target sorted rows are independent and
+    /// reassembled in octant order; the row split and the coloring run
+    /// serially. The result is identical to the serial build.
     pub fn build_with(
         l: &Let,
         lists: &Lists,
@@ -136,7 +218,6 @@ impl NearField {
     ) -> NearField {
         let t0 = Instant::now();
         let noct = l.len();
-        let pad = |n: usize| n.div_ceil(LANE) * LANE;
 
         // Source boxes: every leaf with points (owned or ghost).
         let mut src_box_of_oct = vec![-1i32; noct];
@@ -178,8 +259,7 @@ impl NearField {
             for sb in b0..b1 {
                 let i = src_oct[sb] as usize;
                 let off = src_off[sb] as usize - start;
-                let n = src_cnt[sb] as usize;
-                let m = pad(n);
+                let m = pad(src_cnt[sb] as usize);
                 for (j, p) in leaf_pos[i].iter().enumerate() {
                     sx[off + j] = p[0];
                     sy[off + j] = p[1];
@@ -206,8 +286,8 @@ impl NearField {
             sden.extend_from_slice(&cd);
         }
 
-        // Per-target sorted U rows, built in parallel; the serial
-        // assembly below consumes them in octant order.
+        // Per-target sorted direct rows, built in parallel; consumed in
+        // octant order below.
         let rows: Vec<Vec<u32>> = par_map_n(par.threads(), noct, |i| {
             if !l.owned[i] || leaf_pos[i].is_empty() {
                 return Vec::new();
@@ -225,41 +305,95 @@ impl NearField {
             row
         });
 
-        // Target boxes: owned leaves with points (the scalar path's skip
-        // condition), plus the sorted CSR and the chunk weights.
-        let mut tgt_box_of_oct = vec![-1i32; noct];
+        // Target boxes: owned leaves with points.
         let mut tgt_oct = Vec::new();
         let mut tgt_pt_off = Vec::new();
-        let mut tgt_coff = Vec::new();
         let mut tgt_cnt = Vec::new();
-        let (mut tx, mut ty, mut tz) = (Vec::new(), Vec::new(), Vec::new());
-        let mut ulist_off = vec![0u32];
-        let mut ulist: Vec<u32> = Vec::new();
-        let mut weights = vec![0u64; noct];
-        let (mut real_pairs, mut padded_pairs) = (0u64, 0u64);
+        let mut tgt_src = Vec::new();
+        let mut tgt_moff = Vec::new();
+        let mut tgt_of_src = vec![-1i32; nsrc];
+        let mut mirror_lanes = 0usize;
         for i in 0..noct {
             if !l.owned[i] || leaf_pos[i].is_empty() {
                 continue;
             }
-            tgt_box_of_oct[i] = tgt_oct.len() as i32;
+            let sb = src_box_of_oct[i] as usize;
+            tgt_of_src[sb] = tgt_oct.len() as i32;
             tgt_oct.push(i as u32);
             tgt_pt_off.push(l.pt_off[i] as u32);
-            tgt_coff.push(tx.len() as u32);
-            let nt = leaf_pos[i].len();
-            tgt_cnt.push(nt as u32);
-            for p in &leaf_pos[i] {
-                tx.push(p[0]);
-                ty.push(p[1]);
-                tz.push(p[2]);
+            tgt_cnt.push(leaf_pos[i].len() as u32);
+            tgt_src.push(sb as u32);
+            tgt_moff.push(mirror_lanes as u32);
+            mirror_lanes += pad(leaf_pos[i].len());
+        }
+        let ntgt = tgt_oct.len();
+        let row = |tb: usize| &rows[tgt_oct[tb] as usize][..];
+
+        // Split every row: an entry whose source box is another owned
+        // target box listing this box back becomes a mutual pair, held
+        // by the lower box; the rest run one way.
+        let mut own_off = Vec::with_capacity(ntgt + 1);
+        own_off.push(0u32);
+        let mut own = Vec::new();
+        let mut pairs: Vec<[u32; 2]> = Vec::new();
+        let (mut real_pairs, mut padded_pairs) = (0u64, 0u64);
+        for a in 0..ntgt {
+            let na = tgt_cnt[a] as u64;
+            for &sb in row(a) {
+                let ns = src_cnt[sb as usize] as usize;
+                real_pairs += na * ns as u64;
+                let b = tgt_of_src[sb as usize];
+                let mutual =
+                    b >= 0 && b as usize != a && row(b as usize).binary_search(&tgt_src[a]).is_ok();
+                if !mutual {
+                    own.push(sb);
+                } else if b as usize > a {
+                    pairs.push([a as u32, b as u32]);
+                } else {
+                    continue;
+                }
+                padded_pairs += na * pad(ns) as u64;
             }
-            ulist.extend_from_slice(&rows[i]);
-            for &sb in &rows[i] {
-                let ns = src_cnt[sb as usize] as u64;
-                real_pairs += nt as u64 * ns;
-                padded_pairs += nt as u64 * pad(ns as usize) as u64;
-                weights[i] += nt as u64 * pad(ns as usize) as u64;
+            own_off.push(own.len() as u32);
+        }
+
+        // Greedy edge coloring in (A, B) order, then a stable counting
+        // sort by color.
+        let mut used: Vec<Vec<u64>> = vec![Vec::new(); ntgt];
+        let mut colors = Vec::with_capacity(pairs.len());
+        let mut ncolors = 0usize;
+        for &[a, b] in &pairs {
+            let (ua, ub) = (&used[a as usize], &used[b as usize]);
+            let mut k = 0;
+            let c = loop {
+                let w = ua.get(k).copied().unwrap_or(0) | ub.get(k).copied().unwrap_or(0);
+                if w != u64::MAX {
+                    break 64 * k + w.trailing_ones() as usize;
+                }
+                k += 1;
+            };
+            for bx in [a, b] {
+                let u = &mut used[bx as usize];
+                if u.len() <= c / 64 {
+                    u.resize(c / 64 + 1, 0);
+                }
+                u[c / 64] |= 1 << (c % 64);
             }
-            ulist_off.push(ulist.len() as u32);
+            colors.push(c);
+            ncolors = ncolors.max(c + 1);
+        }
+        let mut color_off = vec![0u32; ncolors + 1];
+        for &c in &colors {
+            color_off[c + 1] += 1;
+        }
+        for k in 0..ncolors {
+            color_off[k + 1] += color_off[k];
+        }
+        let mut next = color_off.clone();
+        let mut sched = vec![[0u32; 2]; pairs.len()];
+        for (p, &c) in pairs.iter().zip(&colors) {
+            sched[next[c] as usize] = *p;
+            next[c] += 1;
         }
 
         NearField {
@@ -272,17 +406,16 @@ impl NearField {
             sy,
             sz,
             sden,
-            tgt_box_of_oct,
             tgt_oct,
             tgt_pt_off,
-            tgt_coff,
             tgt_cnt,
-            tx,
-            ty,
-            tz,
-            ulist_off,
-            ulist,
-            weights,
+            tgt_src,
+            tgt_moff,
+            mirror_lanes,
+            own_off,
+            own,
+            pairs: sched,
+            color_off,
             real_pairs,
             padded_pairs,
             build_secs: t0.elapsed().as_secs_f64(),
@@ -299,6 +432,42 @@ impl NearField {
         self.src_off.len()
     }
 
+    /// Per target box: point count.
+    pub fn tgt_cnt(&self) -> &[u32] {
+        &self.tgt_cnt
+    }
+
+    /// Number of edge colors of the mutual pairs.
+    pub fn num_colors(&self) -> usize {
+        self.color_off.len() - 1
+    }
+
+    /// The mutual pairs of color `k`.
+    pub fn color(&self, k: usize) -> &[[u32; 2]] {
+        &self.pairs[self.color_off[k] as usize..self.color_off[k + 1] as usize]
+    }
+
+    /// The own-row entries (source boxes) of target box `tb`.
+    pub fn own_row(&self, tb: usize) -> &[u32] {
+        &self.own[self.own_off[tb] as usize..self.own_off[tb + 1] as usize]
+    }
+
+    /// The whole direct row of target box `tb` as sorted source box ids:
+    /// its own-row entries plus the source box of every pair partner.
+    /// Reassembled by a scan of the pairs, for tests and diagnostics.
+    pub fn row(&self, tb: usize) -> Vec<u32> {
+        let mut row = self.own_row(tb).to_vec();
+        for &[a, b] in &self.pairs {
+            if a as usize == tb {
+                row.push(self.tgt_src[b as usize]);
+            } else if b as usize == tb {
+                row.push(self.tgt_src[a as usize]);
+            }
+        }
+        row.sort_unstable();
+        row
+    }
+
     /// Padded source-plane range of a source box.
     pub fn src_range(&self, b: usize) -> Range<usize> {
         let start = self.src_off[b] as usize;
@@ -310,10 +479,28 @@ impl NearField {
         start..end
     }
 
-    /// Per-octant padded-pair weights for interaction-weighted range
-    /// splitting (`par_windows_weighted` / `weighted_cuts`).
-    pub fn oct_weights(&self) -> &[u64] {
-        &self.weights
+    /// Source box `b`'s planes.
+    fn side(&self, b: u32) -> BoxTiles<'_> {
+        let r = self.src_range(b as usize);
+        BoxTiles {
+            n: self.src_cnt[b as usize] as usize,
+            x: &self.sx[r.clone()],
+            y: &self.sy[r.clone()],
+            z: &self.sz[r.clone()],
+            den: &self.sden[r.start * self.sd..r.end * self.sd],
+        }
+    }
+
+    /// Target box `tb`'s range in the potentials, `td` per point.
+    fn pts(&self, tb: usize, td: usize) -> Range<usize> {
+        let po = self.tgt_pt_off[tb] as usize;
+        po * td..(po + self.tgt_cnt[tb] as usize) * td
+    }
+
+    /// Target box `tb`'s range in the mirror.
+    fn lanes(&self, tb: usize, td: usize) -> Range<usize> {
+        let mo = self.tgt_moff[tb] as usize;
+        mo * td..(mo + pad(self.tgt_cnt[tb] as usize)) * td
     }
 
     /// Re-gather the density planes from fresh `leaf_den` without
@@ -338,82 +525,164 @@ impl NearField {
         }
     }
 
-    /// Heap bytes held by the layout (element counts × element sizes);
-    /// feeds the workspace/plan memory accounting.
+    /// Heap bytes held by the layout and its schedule (element counts ×
+    /// element sizes); feeds the workspace/plan memory accounting.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.src_box_of_oct.len() + self.tgt_box_of_oct.len()) * size_of::<i32>()
+        self.src_box_of_oct.len() * size_of::<i32>()
             + (self.src_off.len()
                 + self.src_cnt.len()
                 + self.src_oct.len()
                 + self.tgt_oct.len()
                 + self.tgt_pt_off.len()
-                + self.tgt_coff.len()
                 + self.tgt_cnt.len()
-                + self.ulist_off.len()
-                + self.ulist.len())
+                + self.tgt_src.len()
+                + self.tgt_moff.len()
+                + self.own_off.len()
+                + self.own.len()
+                + self.color_off.len())
                 * size_of::<u32>()
-            + (self.sx.len()
-                + self.sy.len()
-                + self.sz.len()
-                + self.sden.len()
-                + self.tx.len()
-                + self.ty.len()
-                + self.tz.len())
-                * size_of::<f64>()
-            + self.weights.len() * size_of::<u64>()
+            + self.pairs.len() * size_of::<[u32; 2]>()
+            + (self.sx.len() + self.sy.len() + self.sz.len() + self.sden.len()) * size_of::<f64>()
     }
 
-    /// Evaluate the U-list for target octants in `range` through the
-    /// tiled microkernels; `window` is the matching point-potential
-    /// slice (element 0 at global offset `base`), exactly like the
-    /// scalar `uli_range`. Returns real-pair flops.
-    pub fn eval_range(
+    /// The work split of this schedule over `threads` workers, with a
+    /// zeroed mirror for `td`-component potentials. Each part is cut
+    /// into contiguous ranges of equal padded-pair (own rows, each color)
+    /// or point (fold) weight.
+    pub fn sweep(&self, threads: usize, td: usize) -> Sweep {
+        let t = threads.max(1);
+        let cnt = |tb: u32| self.tgt_cnt[tb as usize] as u64;
+        let own_w: Vec<u64> = (0..self.num_tgt_boxes())
+            .map(|tb| {
+                self.own_row(tb)
+                    .iter()
+                    .map(|&sb| cnt(tb as u32) * pad(self.src_cnt[sb as usize] as usize) as u64)
+                    .sum()
+            })
+            .collect();
+        let mut pair_cuts = Vec::with_capacity(self.num_colors() * (t + 1));
+        for k in 0..self.num_colors() {
+            let w: Vec<u64> = self
+                .color(k)
+                .iter()
+                .map(|&[a, b]| cnt(a) * pad(cnt(b) as usize) as u64)
+                .collect();
+            pair_cuts.extend(cuts_u32(t, &w, self.color_off[k] as usize));
+        }
+        let pts: Vec<u64> = self.tgt_cnt.iter().map(|&n| n as u64).collect();
+        Sweep {
+            threads: t,
+            own_cuts: cuts_u32(t, &own_w, 0).collect(),
+            pair_cuts,
+            fold_cuts: cuts_u32(t, &pts, 0).collect(),
+            mirror: vec![0.0; td * self.mirror_lanes],
+        }
+    }
+
+    /// Evaluate every direct row into the potentials `f` (`td` per LET
+    /// point) on `sw.threads` workers: the own rows, then the mutual
+    /// pairs color by color behind a barrier, then the mirror fold (see
+    /// the module docs for why the result does not depend on the thread
+    /// count). `span` wraps each worker's part — once per part, not per
+    /// color — for the task trace. Returns the delivered one-way flops
+    /// ([`flop_model::ulist_edge`] per row entry).
+    pub fn eval(
         &self,
         tk: &dyn TileKernel,
-        td: usize,
-        flops_pair: u64,
-        range: Range<usize>,
-        window: &mut [f64],
-        base: usize,
+        sw: &mut Sweep,
+        f: &mut [f64],
+        span: &(dyn Fn(&mut dyn FnMut() -> u64) -> u64 + Sync),
     ) -> u64 {
-        let sd = self.sd;
-        let mut fl = 0u64;
-        for bi in range {
-            let tb = self.tgt_box_of_oct[bi];
-            if tb < 0 {
-                continue;
+        let (td, fp, scale) = (tk.target_dim(), tk.flops_per_pair(), tk.tile_scale());
+        let t = sw.threads;
+        // Checked before any worker starts: a worker that panics leaves
+        // the others waiting at the barrier.
+        assert_eq!(
+            tk.source_dim(),
+            self.sd,
+            "layout built for the kernel's density"
+        );
+        assert!(sw.fits(self, td), "sweep built for another schedule or td");
+        let (own_cuts, pair_cuts, fold_cuts) = (&sw.own_cuts, &sw.pair_cuts, &sw.fold_cuts);
+        let out = Disjoint::new(f);
+        let mirror = Disjoint::new(&mut sw.mirror);
+        let (out, mirror) = (&out, &mirror);
+        let worker = |w: usize, bar: Option<&Barrier>| -> u64 {
+            let mut fl = span(&mut || {
+                let mut fl = 0;
+                for a in own_cuts[w] as usize..own_cuts[w + 1] as usize {
+                    // SAFETY: the own-row cuts give each worker its own
+                    // range of target boxes, and a box writes only its
+                    // own points.
+                    let o = unsafe { out.slice(self.pts(a, td)) };
+                    let ta = self.side(self.tgt_src[a]);
+                    for &sb in self.own_row(a) {
+                        let sb_tiles = self.side(sb);
+                        tk.eval_tiles(ta.from(sb_tiles), o);
+                        fl += flop_model::ulist_edge(ta.n, sb_tiles.n, fp);
+                    }
+                }
+                fl
+            });
+            if let Some(bar) = bar {
+                bar.wait();
             }
-            let tb = tb as usize;
-            let nt = self.tgt_cnt[tb] as usize;
-            let po = self.tgt_pt_off[tb] as usize;
-            let co = self.tgt_coff[tb] as usize;
-            let out = &mut window[po * td - base..(po + nt) * td - base];
-            let (tx, ty, tz) = (
-                &self.tx[co..co + nt],
-                &self.ty[co..co + nt],
-                &self.tz[co..co + nt],
-            );
-            let (r0, r1) = (self.ulist_off[tb] as usize, self.ulist_off[tb + 1] as usize);
-            for &sb in &self.ulist[r0..r1] {
-                let sb = sb as usize;
-                let sr = self.src_range(sb);
-                tk.eval_tiles(
-                    Tiles {
-                        tx,
-                        ty,
-                        tz,
-                        sx: &self.sx[sr.clone()],
-                        sy: &self.sy[sr.clone()],
-                        sz: &self.sz[sr.clone()],
-                        den: &self.sden[sr.start * sd..sr.end * sd],
-                    },
-                    out,
-                );
-                fl += flop_model::ulist_edge(nt, self.src_cnt[sb] as usize, flops_pair);
-            }
+            fl += span(&mut || {
+                let mut fl = 0;
+                for cuts in pair_cuts.chunks_exact(t + 1) {
+                    for &[a, b] in &self.pairs[cuts[w] as usize..cuts[w + 1] as usize] {
+                        let (a, b) = (a as usize, b as usize);
+                        // SAFETY: the coloring puts no target box in two
+                        // pairs of one color, and a barrier separates the
+                        // colors and the parts; so this pair is the only
+                        // writer of A's points and B's mirror lanes.
+                        let (o, m) = unsafe {
+                            (out.slice(self.pts(a, td)), mirror.slice(self.lanes(b, td)))
+                        };
+                        let (ta, tb) = (self.side(self.tgt_src[a]), self.side(self.tgt_src[b]));
+                        tk.eval_mutual(ta, tb, o, m);
+                        fl += flop_model::ulist_edge(ta.n, tb.n, fp)
+                            + flop_model::ulist_edge(tb.n, ta.n, fp);
+                    }
+                    if let Some(bar) = bar {
+                        bar.wait();
+                    }
+                }
+                fl
+            });
+            fl + span(&mut || {
+                for b in fold_cuts[w] as usize..fold_cuts[w + 1] as usize {
+                    // SAFETY: the fold cuts give each worker its own range
+                    // of target boxes, after the last color's barrier.
+                    let (o, m) =
+                        unsafe { (out.slice(self.pts(b, td)), mirror.slice(self.lanes(b, td))) };
+                    let mb = m.len() / td;
+                    for (c, plane) in m.chunks_exact_mut(mb).enumerate() {
+                        for (v, o) in plane.iter_mut().zip(o[c..].iter_mut().step_by(td)) {
+                            *o += *v * scale;
+                            *v = 0.0;
+                        }
+                    }
+                }
+                0
+            })
+        };
+        if t == 1 {
+            return worker(0, None);
         }
-        fl
+        let barrier = Barrier::new(t);
+        let (worker, barrier) = (&worker, &barrier);
+        std::thread::scope(|s| {
+            let rest: Vec<_> = (1..t)
+                .map(|w| s.spawn(move || worker(w, Some(barrier))))
+                .collect();
+            let mine = worker(0, Some(barrier));
+            mine + rest
+                .into_iter()
+                .map(|h| h.join().expect("near-field worker panicked"))
+                .sum::<u64>()
+        })
     }
 }
 
@@ -422,6 +691,21 @@ mod tests {
     use super::*;
     use pfmm_kernels::{direct_eval, Kernel, Laplace, LaplaceDipole, Stokes, Yukawa};
     use pfmm_mpisim::run;
+
+    /// Run every part inline, untraced.
+    fn untraced(run: &mut dyn FnMut() -> u64) -> u64 {
+        run()
+    }
+
+    /// `nf.eval` on `threads` workers into fresh potentials.
+    fn eval_at(nf: &NearField, kernel: &dyn Kernel, threads: usize, npts: usize) -> Vec<f64> {
+        let tk = kernel.as_tile_kernel().expect("built-in kernel");
+        let td = kernel.target_dim();
+        let mut sw = nf.sweep(threads, td);
+        let mut f = vec![0.0f64; npts * td];
+        nf.eval(tk, &mut sw, &mut f, &untraced);
+        f
+    }
     use pfmm_tree::{build_let, build_lists, points_to_octree, PointRec};
 
     /// Clustered, nonuniform point set with exact duplicates (coincident
@@ -516,9 +800,12 @@ mod tests {
         let want = scalar_ulist(kernel, &l, &lists, &leaf_pos, &leaf_den);
 
         let nf = NearField::build(&l, &lists, &leaf_pos, &leaf_den, sd);
-        let tk = kernel.as_tile_kernel().expect("built-in kernel");
-        let mut got = vec![0.0f64; l.pts.len() * td];
-        nf.eval_range(tk, td, kernel.flops_per_pair(), 0..l.len(), &mut got, 0);
+        assert!(
+            nf.num_colors() > 0 && !nf.own.is_empty(),
+            "both parts exercised"
+        );
+        let got = eval_at(&nf, kernel, 2, l.pts.len());
+        assert_eq!(got.len(), l.pts.len() * td);
 
         let scale = want.iter().fold(0.0f64, |a, v| a.max(v.abs()));
         assert!(scale > 0.0, "degenerate reference");
@@ -576,35 +863,156 @@ mod tests {
                 assert_eq!(v, 0.0);
             }
         }
-        // CSR rows sorted ascending — the fixed accumulation order.
+        // Own rows sorted ascending — the fixed accumulation order — and
+        // every target box's points the first lanes of its source box.
         for tb in 0..nf.num_tgt_boxes() {
-            let row = &nf.ulist[nf.ulist_off[tb] as usize..nf.ulist_off[tb + 1] as usize];
-            assert!(row.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
+            assert!(
+                nf.own_row(tb).windows(2).all(|w| w[0] < w[1]),
+                "sorted, unique"
+            );
+            let i = nf.tgt_oct[tb] as usize;
+            let r = nf.src_range(nf.tgt_src[tb] as usize);
+            for (j, p) in leaf_pos[i].iter().enumerate() {
+                assert_eq!(
+                    [nf.sx[r.start + j], nf.sy[r.start + j], nf.sz[r.start + j]],
+                    *p
+                );
+            }
         }
-        assert!(nf.real_pairs > 0 && nf.padded_pairs >= nf.real_pairs);
+        assert!(nf.real_pairs > 0 && nf.padded_pairs >= nf.real_pairs / 2);
         assert!(nf.build_secs > 0.0);
     }
 
-    #[test]
-    fn eval_is_deterministic_across_chunkings() {
-        // Chunking the octant range differently (other thread counts)
-        // must be bitwise irrelevant: each target box is wholly inside
-        // one chunk and its row order is fixed.
-        let (l, lists) = small_let(600, 11);
-        let (leaf_pos, leaf_den) = eval_data(&l, 1);
-        let nf = NearField::build(&l, &lists, &leaf_pos, &leaf_den, 1);
-        let tk = Laplace.as_tile_kernel().expect("tile kernel");
-        let mut whole = vec![0.0f64; l.pts.len()];
-        nf.eval_range(tk, 1, 20, 0..l.len(), &mut whole, 0);
-        let mut split = vec![0.0f64; l.pts.len()];
-        let mid = l.len() / 3;
-        for r in [0..mid, mid..l.len()] {
-            let b0 = l.pt_off[r.start];
-            let b1 = l.pt_off[r.end.min(l.len())];
-            nf.eval_range(tk, 1, 20, r, &mut split[b0..b1], b0);
+    /// The schedule's invariants on one rank's layout: every unordered
+    /// pair of owned target boxes whose rows list each other is in
+    /// exactly one color, never twice in a row; no color holds a box
+    /// twice; the own rows hold exactly the self entry and the sources
+    /// without an owned target box; each row reassembles to the plan's
+    /// row; and a second build is identical.
+    fn check_schedule(l: &Let, lists: &Lists, leaf_pos: &[Vec<Point3>], leaf_den: &[Vec<f64>]) {
+        let nf = NearField::build(l, lists, leaf_pos, leaf_den, 1);
+        let ntgt = nf.num_tgt_boxes();
+        let mut tgt_of_src = vec![-1i64; nf.num_src_boxes()];
+        for tb in 0..ntgt {
+            tgt_of_src[nf.tgt_src[tb] as usize] = tb as i64;
         }
-        for (a, b) in whole.iter().zip(&split) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let mut seen = std::collections::HashSet::new();
+        for k in 0..nf.num_colors() {
+            let mut boxes = std::collections::HashSet::new();
+            assert!(!nf.color(k).is_empty(), "color {k} empty");
+            for &[a, b] in nf.color(k) {
+                assert!(a < b, "pairs held by the lower box");
+                assert!(boxes.insert(a) && boxes.insert(b), "box twice in color {k}");
+                assert!(seen.insert([a, b]), "pair ({a}, {b}) in two colors");
+            }
+        }
+        for tb in 0..ntgt {
+            let i = nf.tgt_oct[tb] as usize;
+            let mut want: Vec<u32> = lists
+                .u
+                .row(i)
+                .iter()
+                .map(|&ai| nf.src_box_of_oct[ai as usize])
+                .filter(|&sb| sb >= 0)
+                .map(|sb| sb as u32)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(nf.row(tb), want, "row of target box {tb}");
+            for &sb in nf.own_row(tb) {
+                let b = tgt_of_src[sb as usize];
+                assert!(
+                    b < 0 || b as usize == tb,
+                    "own row of {tb} holds owned box {b}"
+                );
+            }
+            for &sb in &want {
+                let b = tgt_of_src[sb as usize];
+                if b >= 0 && b as usize != tb {
+                    let (lo, hi) = ((b as u32).min(tb as u32), (b as u32).max(tb as u32));
+                    assert!(seen.contains(&[lo, hi]), "pair ({lo}, {hi}) unscheduled");
+                }
+            }
+        }
+        let again = NearField::build(l, lists, leaf_pos, leaf_den, 1);
+        assert_eq!(
+            (&again.own_off, &again.own, &again.pairs, &again.color_off),
+            (&nf.own_off, &nf.own, &nf.pairs, &nf.color_off)
+        );
+        let par = NearField::build_with(l, lists, leaf_pos, leaf_den, 1, SetupPar::Threads(3));
+        assert_eq!((&par.own, &par.pairs), (&nf.own, &nf.pairs));
+    }
+
+    #[test]
+    fn schedule_covers_each_pair_once_with_demoted_wx() {
+        let (l, mut lists) = small_let(700, 12);
+        let (w, x) = lists.demote_small_wx(&l, 8);
+        assert!(w + x > 0, "fixture demotes W/X pairs");
+        let (leaf_pos, leaf_den) = eval_data(&l, 1);
+        check_schedule(&l, &lists, &leaf_pos, &leaf_den);
+    }
+
+    #[test]
+    fn schedule_keeps_ghost_sources_one_way_on_two_ranks() {
+        let pts = crate::distrib::ellipsoid_1_1_4(3000, 5, 0);
+        let ghosts = run(2, |c| {
+            let share: Vec<PointRec> = pts
+                .iter()
+                .skip(c.rank())
+                .step_by(c.size())
+                .cloned()
+                .collect();
+            let t = points_to_octree(c, share, 20);
+            let l = build_let(c, &t);
+            let mut lists = build_lists(&l);
+            lists.demote_small_wx(&l, 26);
+            let (leaf_pos, leaf_den) = eval_data(&l, 1);
+            check_schedule(&l, &lists, &leaf_pos, &leaf_den);
+            let nf = NearField::build(&l, &lists, &leaf_pos, &leaf_den, 1);
+            nf.own
+                .iter()
+                .filter(|&&sb| !l.owned[nf.src_oct[sb as usize] as usize])
+                .count()
+        });
+        assert!(
+            ghosts.iter().all(|&g| g > 0),
+            "ghost sources on every rank: {ghosts:?}"
+        );
+    }
+
+    /// The colored sweep gives the same bits at every thread count, and
+    /// an evaluation leaves the mirror zeroed, so a second one repeats
+    /// the first.
+    #[test]
+    fn eval_is_bitwise_identical_at_threads_1_2_3() {
+        let (l, mut lists) = small_let(900, 11);
+        lists.demote_small_wx(&l, 8);
+        for kernel in [&Laplace as &dyn Kernel, &Stokes { mu: 0.9 }] {
+            let sd = kernel.source_dim();
+            let (leaf_pos, leaf_den) = eval_data(&l, sd);
+            let nf = NearField::build(&l, &lists, &leaf_pos, &leaf_den, sd);
+            let one = eval_at(&nf, kernel, 1, l.pts.len());
+            let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for threads in [2, 3] {
+                assert_eq!(
+                    bits(&eval_at(&nf, kernel, threads, l.pts.len())),
+                    bits(&one)
+                );
+            }
+            let tk = kernel.as_tile_kernel().expect("tile kernel");
+            let mut sw = nf.sweep(2, kernel.target_dim());
+            let mut twice = vec![0.0; one.len()];
+            nf.eval(tk, &mut sw, &mut twice, &untraced);
+            twice.fill(0.0);
+            // One span per worker per part (own rows, colors, fold),
+            // however many colors there are.
+            let spans = std::sync::atomic::AtomicUsize::new(0);
+            nf.eval(tk, &mut sw, &mut twice, &|run| {
+                spans.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                run()
+            });
+            assert_eq!(bits(&twice), bits(&one), "{}", kernel.name());
+            assert!(nf.num_colors() > 3);
+            assert_eq!(spans.into_inner(), 2 * 3);
         }
     }
 }

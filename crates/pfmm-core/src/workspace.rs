@@ -25,7 +25,9 @@
 //!   workspace; creation only makes sure the levels this LET needs are
 //!   built;
 //! * the lazily built tiled near-field layout, density-refreshed in
-//!   place on later applies;
+//!   place on later applies, and its sweep: the per-thread cuts of its
+//!   pair schedule and the mirror the mutual pairs accumulate into,
+//!   built with it;
 //! * a [`ScratchPool`] of per-worker scratch (tile-eval SoA panels,
 //!   GEMM pack panels, FFT work vectors, batched-M2L accumulators and
 //!   edge batches)
@@ -40,7 +42,7 @@ use pfmm_tree::{Let, Lists};
 use crate::driver::{Fmm, M2lMode};
 use crate::exec::TileEval;
 use crate::m2l_batched::{BatchScratch, EdgeBatch, SiblingIndex, SourceSpectra, SpectraTmp};
-use crate::nearfield::NearField;
+use crate::nearfield::{NearField, Sweep};
 use crate::translate::Scratch as TranslateScratch;
 
 /// Per-worker reusable scratch, checked out of a [`ScratchPool`] by the
@@ -131,14 +133,12 @@ pub struct EvalWorkspace {
     pub(crate) d: Vec<f64>,
     /// Potentials, `target_dim` per point, aligned with the LET storage.
     pub(crate) f: Vec<f64>,
-    /// U-list chunk weights (cached after the first apply; tiled mode
-    /// weights come from the near-field layout).
-    pub(crate) uli_weights: Vec<u64>,
     /// V-list chunk weights (pure geometry, computed at creation).
     pub(crate) vli_weights: Vec<u64>,
-    /// Tiled near-field layout: built on the first apply, then
-    /// density-refreshed in place.
-    pub(crate) nf: Option<NearField>,
+    /// Tiled near-field layout and its sweep (per-thread cuts and
+    /// mirror): built on the first apply, then density-refreshed in
+    /// place.
+    pub(crate) nf: Option<(NearField, Sweep)>,
     /// V list regrouped by target parent (fft-batched mode; empty under
     /// dense M2L).
     pub(crate) sib: SiblingIndex,
@@ -187,7 +187,6 @@ impl EvalWorkspace {
             dcheck: vec![0.0; noct * clen],
             d: vec![0.0; noct * ulen],
             f: vec![0.0; l.pts.len() * td],
-            uli_weights: Vec::new(),
             vli_weights,
             nf: None,
             sib,
@@ -222,8 +221,11 @@ impl EvalWorkspace {
             * size_of::<f64>()
             + self.f.capacity() * size_of::<f64>()
             + self.has_up.capacity() * size_of::<bool>()
-            + (self.uli_weights.capacity() + self.vli_weights.capacity()) * size_of::<u64>()
-            + self.nf.as_ref().map_or(0, |n| n.memory_bytes())
+            + self.vli_weights.capacity() * size_of::<u64>()
+            + self
+                .nf
+                .as_ref()
+                .map_or(0, |(nf, sw)| nf.memory_bytes() + sw.memory_bytes())
             + self.sib.memory_bytes()
             + self.src.memory_bytes()
             + self.sources.capacity() * size_of::<usize>()

@@ -246,8 +246,8 @@ mod tests {
         // The CPU tiled near-field engine is the same data-structure
         // transformation at a different pad unit: same source-box
         // occupancy, same real counts, same target boxes, same U-list
-        // rows (as sets — NearField sorts its rows, GpuLayout keeps
-        // traversal order).
+        // rows (as sets — NearField splits and sorts its rows, GpuLayout
+        // keeps traversal order).
         let (l, lists) = small_let(600, 12);
         let lay = GpuLayout::build(&l, &lists, 64);
         let data = pfmm_core::exec::EvalData::new_with(&l, 1, pfmm_tree::SetupPar::Serial);
@@ -258,13 +258,12 @@ mod tests {
         assert_eq!(nf.src_cnt, lay.src_cnt);
         assert_eq!(nf.num_tgt_boxes(), lay.num_tgt_boxes());
         assert_eq!(nf.tgt_oct, lay.tgt_oct);
-        assert_eq!(nf.tgt_cnt, lay.tgt_cnt);
-        assert_eq!(nf.ulist_off, lay.ulist_off);
+        assert_eq!(nf.tgt_cnt(), lay.tgt_cnt);
         for tb in 0..nf.num_tgt_boxes() {
-            let r = nf.ulist_off[tb] as usize..nf.ulist_off[tb + 1] as usize;
-            let mut gpu_row = lay.ulist[r.clone()].to_vec();
+            let r = lay.ulist_off[tb] as usize..lay.ulist_off[tb + 1] as usize;
+            let mut gpu_row = lay.ulist[r].to_vec();
             gpu_row.sort_unstable();
-            assert_eq!(&nf.ulist[r], &gpu_row[..]);
+            assert_eq!(nf.row(tb), gpu_row);
         }
         // Both pad with zero density; only the pad unit differs.
         for b in 0..nf.num_src_boxes() {

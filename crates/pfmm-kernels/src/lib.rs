@@ -23,7 +23,7 @@ pub use direct::{
 pub use kernel::{assemble, Kernel};
 pub use laplace::Laplace;
 pub use stokes::Stokes;
-pub use tile::{TileKernel, Tiles, LANE};
+pub use tile::{BoxTiles, TileKernel, Tiles, LANE};
 pub use yukawa::Yukawa;
 
 /// A point in the unit cube (re-exported convention shared with

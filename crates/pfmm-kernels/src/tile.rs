@@ -11,6 +11,18 @@
 //! there is no `dyn` dispatch inside the tile loop; the single virtual
 //! call happens once per U-edge through [`TileKernel::eval_tiles`].
 //!
+//! # Mutual bodies
+//!
+//! Every kernel here is symmetric up to a sign, so one pass over the
+//! points of two distinct boxes A and B can serve both directions:
+//! [`TileKernel::eval_mutual`] computes each pair's `d`, guarded `1/r`
+//! (and Yukawa's `exp`, Stokes' `1/r³`) once, adds B's sources into A's
+//! potentials and A's sources into an unscaled *mirror* of B's lanes.
+//! The caller folds the mirror into B's potentials, scaled by
+//! [`TileKernel::tile_scale`], once every pair has run (see
+//! `pfmm-core::nearfield`). The Laplace, Yukawa and Stokes kernels are
+//! even in `d`; the dipole flips its sign.
+//!
 //! # The guarded reciprocal distance
 //!
 //! The hot loop computes `1/r` with a bit-hack Newton reciprocal square
@@ -81,6 +93,61 @@ impl Tiles<'_> {
     }
 }
 
+/// One box's padded planes, as a mutual body reads each side of a pair:
+/// the box's points are its targets and its sources at once.
+#[derive(Clone, Copy)]
+pub struct BoxTiles<'a> {
+    /// Real point count; lanes `n..` are padding.
+    pub n: usize,
+    /// Padded x/y/z planes, a multiple of [`LANE`] entries each; padding
+    /// lanes sit at the sentinel position.
+    pub x: &'a [f64],
+    pub y: &'a [f64],
+    pub z: &'a [f64],
+    /// `source_dim` density planes of `x.len()` entries; padding lanes
+    /// are 0.
+    pub den: &'a [f64],
+}
+
+impl<'a> BoxTiles<'a> {
+    /// The one-way tiles of `src`'s sources onto this box's real points.
+    pub fn from(self, src: BoxTiles<'a>) -> Tiles<'a> {
+        Tiles {
+            tx: &self.x[..self.n],
+            ty: &self.y[..self.n],
+            tz: &self.z[..self.n],
+            sx: src.x,
+            sy: src.y,
+            sz: src.z,
+            den: src.den,
+        }
+    }
+
+    #[inline]
+    fn check(&self, sd: usize) {
+        let m = self.x.len();
+        debug_assert_eq!(m % LANE, 0, "planes padded to LANE");
+        debug_assert!(self.n <= m && self.y.len() == m && self.z.len() == m);
+        debug_assert_eq!(self.den.len(), sd * m, "density plane packing");
+    }
+}
+
+/// Shape checks of one mutual call.
+#[inline]
+fn check_mutual(
+    sd: usize,
+    td: usize,
+    a: &BoxTiles<'_>,
+    b: &BoxTiles<'_>,
+    out_a: &[f64],
+    mirror_b: &[f64],
+) {
+    a.check(sd);
+    b.check(sd);
+    debug_assert_eq!(out_a.len(), a.n * td, "output packing");
+    debug_assert_eq!(mirror_b.len(), td * b.x.len(), "mirror plane packing");
+}
+
 /// A kernel that provides monomorphized SoA tile microkernels for the
 /// near field. Obtained from a `&dyn Kernel` via
 /// [`Kernel::as_tile_kernel`]; kernels without an implementation fall
@@ -93,6 +160,25 @@ pub trait TileKernel: Kernel {
     /// `max(NaN, x)` trick), bitwise independent of how callers batch
     /// source boxes.
     fn eval_tiles(&self, t: Tiles<'_>, out: &mut [f64]);
+
+    /// Both directions of one pair of distinct boxes, each point pair
+    /// evaluated once: `out_a += K(A ← B)`, packed `target_dim` per real
+    /// point of `a`, and `mirror_b += K(B ← A) / tile_scale` into
+    /// `target_dim` planes of `b.x.len()` lanes (plane-major, like the
+    /// densities). The mirror is left unscaled so that it can collect
+    /// every pair of B before one scaled fold. Its padding lanes are
+    /// left exactly `0.0`.
+    fn eval_mutual(
+        &self,
+        a: BoxTiles<'_>,
+        b: BoxTiles<'_>,
+        out_a: &mut [f64],
+        mirror_b: &mut [f64],
+    );
+
+    /// The constant the bodies scale each lane sum by (`1/4π` or
+    /// `1/(8πμ)`), for folding a mirror.
+    fn tile_scale(&self) -> f64;
 }
 
 /// Lomont's double-precision magic-constant seed of `1/√r2`, accurate
@@ -158,11 +244,17 @@ fn laplace_pair(acc: f64, s: f64, inv: f64) -> f64 {
     s.mul_add(inv, acc)
 }
 
-/// Yukawa: `acc + s·e^{−λr}/r`. `r = r2·(1/r)` is exactly 0 at a self
+/// Yukawa's screening `e^{−λr}`. `r = r2·(1/r)` is exactly 0 at a self
 /// pair (`inv = 0`), so `exp(0)·inv = 0` keeps the suppression intact.
 #[inline(always)]
-fn yukawa_pair(lambda: f64, acc: f64, s: f64, r2: f64, inv: f64) -> f64 {
-    (s * (-lambda * (r2 * inv)).exp()).mul_add(inv, acc)
+fn yukawa_exp(lambda: f64, r2: f64, inv: f64) -> f64 {
+    (-lambda * (r2 * inv)).exp()
+}
+
+/// Yukawa: `acc + s·e^{−λr}/r`, given `e = yukawa_exp(..)`.
+#[inline(always)]
+fn yukawa_pair(acc: f64, s: f64, e: f64, inv: f64) -> f64 {
+    (s * e).mul_add(inv, acc)
 }
 
 /// Stokeslet without its constant: `a + f/r + d (f·d)/r³`, the dot
@@ -242,7 +334,8 @@ fn yukawa_tiles(lambda: f64, t: Tiles<'_>, out: &mut [f64]) {
         {
             for l in 0..LANE {
                 let r2 = norm2([x - cx[l], y - cy[l], z - cz[l]]);
-                acc[l] = yukawa_pair(lambda, acc[l], cd[l], r2, inv_r_guarded(r2));
+                let inv = inv_r_guarded(r2);
+                acc[l] = yukawa_pair(acc[l], cd[l], yukawa_exp(lambda, r2, inv), inv);
             }
         }
         *o += acc.iter().sum::<f64>() * INV_4PI;
@@ -365,6 +458,216 @@ fn dipole_block<const B: usize>(t: &Tiles<'_>, i: usize, out: &mut [f64]) {
     }
 }
 
+// The mutual bodies follow the same rules. Each walks A's real points in
+// the outer loop and B's padded lanes in the inner one, keeps A's lane
+// accumulators in registers and adds A's side into B's mirror chunk by
+// chunk, so every mirror lane sums A's points in order. Blocking depths
+// match the one-way bodies (other depths measured within noise); within
+// a block the mirror still sees the targets in order. B's padding lanes
+// pick up A's sources at the sentinel distance and are cleared after the
+// pass.
+
+/// Mutual [`laplace_tiles`].
+#[inline(always)]
+fn laplace_mutual(a: BoxTiles<'_>, b: BoxTiles<'_>, out: &mut [f64], mirror: &mut [f64]) {
+    for ((((o, &x), &y), &z), &s) in out.iter_mut().zip(a.x).zip(a.y).zip(a.z).zip(a.den) {
+        let mut acc = [0.0f64; LANE];
+        for ((((cx, cy), cz), cd), cm) in
+            b.x.chunks_exact(LANE)
+                .zip(b.y.chunks_exact(LANE))
+                .zip(b.z.chunks_exact(LANE))
+                .zip(b.den.chunks_exact(LANE))
+                .zip(mirror.chunks_exact_mut(LANE))
+        {
+            for l in 0..LANE {
+                let inv = inv_r_guarded(norm2([x - cx[l], y - cy[l], z - cz[l]]));
+                acc[l] = laplace_pair(acc[l], cd[l], inv);
+                cm[l] = laplace_pair(cm[l], s, inv);
+            }
+        }
+        *o += acc.iter().sum::<f64>() * INV_4PI;
+    }
+    mirror[b.n..].fill(0.0);
+}
+
+/// Mutual [`yukawa_tiles`]: one `exp` per pair serves both sides.
+#[inline(always)]
+fn yukawa_mutual(
+    lambda: f64,
+    a: BoxTiles<'_>,
+    b: BoxTiles<'_>,
+    out: &mut [f64],
+    mirror: &mut [f64],
+) {
+    for ((((o, &x), &y), &z), &s) in out.iter_mut().zip(a.x).zip(a.y).zip(a.z).zip(a.den) {
+        let mut acc = [0.0f64; LANE];
+        for ((((cx, cy), cz), cd), cm) in
+            b.x.chunks_exact(LANE)
+                .zip(b.y.chunks_exact(LANE))
+                .zip(b.z.chunks_exact(LANE))
+                .zip(b.den.chunks_exact(LANE))
+                .zip(mirror.chunks_exact_mut(LANE))
+        {
+            for l in 0..LANE {
+                let r2 = norm2([x - cx[l], y - cy[l], z - cz[l]]);
+                let inv = inv_r_guarded(r2);
+                let e = yukawa_exp(lambda, r2, inv);
+                acc[l] = yukawa_pair(acc[l], cd[l], e, inv);
+                cm[l] = yukawa_pair(cm[l], s, e, inv);
+            }
+        }
+        *o += acc.iter().sum::<f64>() * INV_4PI;
+    }
+    mirror[b.n..].fill(0.0);
+}
+
+/// Mutual [`stokes_tiles`]: `d`, `1/r` and `1/r³` are shared, and the
+/// Stokeslet is even in `d`, so B's side is the same `stokes_pair` with
+/// A's force.
+#[inline(always)]
+fn stokes_mutual(c: f64, a: BoxTiles<'_>, b: BoxTiles<'_>, out: &mut [f64], mirror: &mut [f64]) {
+    let mut i = 0;
+    while i + STOKES_TB <= a.n {
+        stokes_mutual_block::<STOKES_TB>(c, &a, &b, i, out, mirror);
+        i += STOKES_TB;
+    }
+    for i in i..a.n {
+        stokes_mutual_block::<1>(c, &a, &b, i, out, mirror);
+    }
+    let m = b.x.len();
+    for plane in mirror.chunks_exact_mut(m) {
+        plane[b.n..].fill(0.0);
+    }
+}
+
+/// Targets `i..i + B` of A in [`stokes_mutual`].
+#[inline(always)]
+fn stokes_mutual_block<const B: usize>(
+    c: f64,
+    a: &BoxTiles<'_>,
+    b: &BoxTiles<'_>,
+    i: usize,
+    out: &mut [f64],
+    mirror: &mut [f64],
+) {
+    let (ma, mb) = (a.x.len(), b.x.len());
+    let (fx, rest) = b.den.split_at(mb);
+    let (fy, fz) = rest.split_at(mb);
+    let (wx, rest) = mirror.split_at_mut(mb);
+    let (wy, wz) = rest.split_at_mut(mb);
+    let xs: [f64; B] = a.x[i..i + B].try_into().expect("B targets");
+    let ys: [f64; B] = a.y[i..i + B].try_into().expect("B targets");
+    let zs: [f64; B] = a.z[i..i + B].try_into().expect("B targets");
+    let gx: [f64; B] = a.den[i..i + B].try_into().expect("B targets");
+    let gy: [f64; B] = a.den[ma + i..ma + i + B].try_into().expect("B targets");
+    let gz: [f64; B] = a.den[2 * ma + i..2 * ma + i + B]
+        .try_into()
+        .expect("B targets");
+    let mut ax = [[0.0f64; LANE]; B];
+    let mut ay = [[0.0f64; LANE]; B];
+    let mut az = [[0.0f64; LANE]; B];
+    for ((((((((cx, cy), cz), hx), hy), hz), mx), my), mz) in
+        b.x.chunks_exact(LANE)
+            .zip(b.y.chunks_exact(LANE))
+            .zip(b.z.chunks_exact(LANE))
+            .zip(fx.chunks_exact(LANE))
+            .zip(fy.chunks_exact(LANE))
+            .zip(fz.chunks_exact(LANE))
+            .zip(wx.chunks_exact_mut(LANE))
+            .zip(wy.chunks_exact_mut(LANE))
+            .zip(wz.chunks_exact_mut(LANE))
+    {
+        // The mirror chunk goes through locals: updated in place in
+        // memory, the lane loop stayed rolled and scalar.
+        let mut w = [[0.0f64; LANE]; 3];
+        w[0].copy_from_slice(mx);
+        w[1].copy_from_slice(my);
+        w[2].copy_from_slice(mz);
+        for u in 0..B {
+            for l in 0..LANE {
+                let d = [xs[u] - cx[l], ys[u] - cy[l], zs[u] - cz[l]];
+                let inv = inv_r_guarded(norm2(d));
+                [ax[u][l], ay[u][l], az[u][l]] = stokes_pair(
+                    [ax[u][l], ay[u][l], az[u][l]],
+                    d,
+                    [hx[l], hy[l], hz[l]],
+                    inv,
+                );
+                [w[0][l], w[1][l], w[2][l]] =
+                    stokes_pair([w[0][l], w[1][l], w[2][l]], d, [gx[u], gy[u], gz[u]], inv);
+            }
+        }
+        mx.copy_from_slice(&w[0]);
+        my.copy_from_slice(&w[1]);
+        mz.copy_from_slice(&w[2]);
+    }
+    for u in 0..B {
+        let o = &mut out[3 * (i + u)..3 * (i + u + 1)];
+        o[0] += ax[u].iter().sum::<f64>() * c;
+        o[1] += ay[u].iter().sum::<f64>() * c;
+        o[2] += az[u].iter().sum::<f64>() * c;
+    }
+}
+
+/// Mutual [`dipole_tiles`]: `1/r³` is shared, and B's side flips the
+/// sign of `d`.
+#[inline(always)]
+fn dipole_mutual(a: BoxTiles<'_>, b: BoxTiles<'_>, out: &mut [f64], mirror: &mut [f64]) {
+    let mut i = 0;
+    while i + DIPOLE_TB <= a.n {
+        dipole_mutual_block::<DIPOLE_TB>(&a, &b, i, out, mirror);
+        i += DIPOLE_TB;
+    }
+    for i in i..a.n {
+        dipole_mutual_block::<1>(&a, &b, i, out, mirror);
+    }
+    mirror[b.n..].fill(0.0);
+}
+
+/// Targets `i..i + B` of A in [`dipole_mutual`].
+#[inline(always)]
+fn dipole_mutual_block<const B: usize>(
+    a: &BoxTiles<'_>,
+    b: &BoxTiles<'_>,
+    i: usize,
+    out: &mut [f64],
+    mirror: &mut [f64],
+) {
+    let (ma, mb) = (a.x.len(), b.x.len());
+    let (mx, rest) = b.den.split_at(mb);
+    let (my, mz) = rest.split_at(mb);
+    let xs: [f64; B] = a.x[i..i + B].try_into().expect("B targets");
+    let ys: [f64; B] = a.y[i..i + B].try_into().expect("B targets");
+    let zs: [f64; B] = a.z[i..i + B].try_into().expect("B targets");
+    let gx: [f64; B] = a.den[i..i + B].try_into().expect("B targets");
+    let gy: [f64; B] = a.den[ma + i..ma + i + B].try_into().expect("B targets");
+    let gz: [f64; B] = a.den[2 * ma + i..2 * ma + i + B]
+        .try_into()
+        .expect("B targets");
+    let mut acc = [[0.0f64; LANE]; B];
+    for ((((((cx, cy), cz), hx), hy), hz), cm) in
+        b.x.chunks_exact(LANE)
+            .zip(b.y.chunks_exact(LANE))
+            .zip(b.z.chunks_exact(LANE))
+            .zip(mx.chunks_exact(LANE))
+            .zip(my.chunks_exact(LANE))
+            .zip(mz.chunks_exact(LANE))
+            .zip(mirror.chunks_exact_mut(LANE))
+    {
+        for u in 0..B {
+            for l in 0..LANE {
+                let d = [xs[u] - cx[l], ys[u] - cy[l], zs[u] - cz[l]];
+                let inv = inv_r_guarded(norm2(d));
+                acc[u][l] = dipole_pair(acc[u][l], d, [hx[l], hy[l], hz[l]], inv);
+                cm[l] = dipole_pair(cm[l], [-d[0], -d[1], -d[2]], [gx[u], gy[u], gz[u]], inv);
+            }
+        }
+    }
+    for u in 0..B {
+        out[i + u] += acc[u].iter().sum::<f64>() * INV_4PI;
+    }
+}
+
 // One runtime-dispatched entry per tile body (`pfmm_linalg::simd_dispatch!`:
 // AVX-512 → AVX2+FMA → portable, bitwise identical across tiers).
 pfmm_linalg::simd_dispatch!(fn laplace_eval(t: Tiles<'_>, out: &mut [f64]) => laplace_tiles);
@@ -373,11 +676,52 @@ pfmm_linalg::simd_dispatch!(
 );
 pfmm_linalg::simd_dispatch!(fn stokes_eval(c: f64, t: Tiles<'_>, out: &mut [f64]) => stokes_tiles);
 pfmm_linalg::simd_dispatch!(fn dipole_eval(t: Tiles<'_>, out: &mut [f64]) => dipole_tiles);
+pfmm_linalg::simd_dispatch!(
+    fn laplace_mutual_eval(a: BoxTiles<'_>, b: BoxTiles<'_>, out: &mut [f64], mirror: &mut [f64])
+        => laplace_mutual
+);
+pfmm_linalg::simd_dispatch!(
+    fn yukawa_mutual_eval(
+        lambda: f64,
+        a: BoxTiles<'_>,
+        b: BoxTiles<'_>,
+        out: &mut [f64],
+        mirror: &mut [f64],
+    ) => yukawa_mutual
+);
+pfmm_linalg::simd_dispatch!(
+    fn stokes_mutual_eval(
+        c: f64,
+        a: BoxTiles<'_>,
+        b: BoxTiles<'_>,
+        out: &mut [f64],
+        mirror: &mut [f64],
+    ) => stokes_mutual
+);
+pfmm_linalg::simd_dispatch!(
+    fn dipole_mutual_eval(a: BoxTiles<'_>, b: BoxTiles<'_>, out: &mut [f64], mirror: &mut [f64])
+        => dipole_mutual
+);
 
 impl TileKernel for Laplace {
     fn eval_tiles(&self, t: Tiles<'_>, out: &mut [f64]) {
         t.check(1, 1, out);
         laplace_eval(t, out);
+    }
+
+    fn eval_mutual(
+        &self,
+        a: BoxTiles<'_>,
+        b: BoxTiles<'_>,
+        out_a: &mut [f64],
+        mirror_b: &mut [f64],
+    ) {
+        check_mutual(1, 1, &a, &b, out_a, mirror_b);
+        laplace_mutual_eval(a, b, out_a, mirror_b);
+    }
+
+    fn tile_scale(&self) -> f64 {
+        INV_4PI
     }
 }
 
@@ -386,12 +730,42 @@ impl TileKernel for Yukawa {
         t.check(1, 1, out);
         yukawa_eval(self.lambda, t, out);
     }
+
+    fn eval_mutual(
+        &self,
+        a: BoxTiles<'_>,
+        b: BoxTiles<'_>,
+        out_a: &mut [f64],
+        mirror_b: &mut [f64],
+    ) {
+        check_mutual(1, 1, &a, &b, out_a, mirror_b);
+        yukawa_mutual_eval(self.lambda, a, b, out_a, mirror_b);
+    }
+
+    fn tile_scale(&self) -> f64 {
+        INV_4PI
+    }
 }
 
 impl TileKernel for Stokes {
     fn eval_tiles(&self, t: Tiles<'_>, out: &mut [f64]) {
         t.check(3, 3, out);
-        stokes_eval(1.0 / (8.0 * std::f64::consts::PI * self.mu), t, out);
+        stokes_eval(self.tile_scale(), t, out);
+    }
+
+    fn eval_mutual(
+        &self,
+        a: BoxTiles<'_>,
+        b: BoxTiles<'_>,
+        out_a: &mut [f64],
+        mirror_b: &mut [f64],
+    ) {
+        check_mutual(3, 3, &a, &b, out_a, mirror_b);
+        stokes_mutual_eval(self.tile_scale(), a, b, out_a, mirror_b);
+    }
+
+    fn tile_scale(&self) -> f64 {
+        1.0 / (8.0 * std::f64::consts::PI * self.mu)
     }
 }
 
@@ -399,6 +773,21 @@ impl TileKernel for LaplaceDipole {
     fn eval_tiles(&self, t: Tiles<'_>, out: &mut [f64]) {
         t.check(3, 1, out);
         dipole_eval(t, out);
+    }
+
+    fn eval_mutual(
+        &self,
+        a: BoxTiles<'_>,
+        b: BoxTiles<'_>,
+        out_a: &mut [f64],
+        mirror_b: &mut [f64],
+    ) {
+        check_mutual(3, 1, &a, &b, out_a, mirror_b);
+        dipole_mutual_eval(a, b, out_a, mirror_b);
+    }
+
+    fn tile_scale(&self) -> f64 {
+        INV_4PI
     }
 }
 
@@ -709,7 +1098,8 @@ mod tests {
         let yukawa = Yukawa { lambda: 2.5 };
         let want = reference(1, INV_4PI, &|i, j, a| {
             let r2 = norm2(diff(i, j));
-            a[0] = yukawa_pair(yukawa.lambda, a[0], f.d[j], r2, inv_r_guarded(r2));
+            let inv = inv_r_guarded(r2);
+            a[0] = yukawa_pair(a[0], f.d[j], yukawa_exp(yukawa.lambda, r2, inv), inv);
         });
         check(&yukawa, want);
 
@@ -764,6 +1154,137 @@ mod tests {
             bits(1, &|o| dipole_tiles(t3, o)),
             "dipole"
         );
+
+        // The mutual entries, output and mirror together.
+        let bx = Boxes::new();
+        let ((a1, b1), (a3, b3)) = (bx.tiles(1), bx.tiles(3));
+        let mbits = |td: usize, eval: &dyn Fn(&mut [f64], &mut [f64])| -> Vec<u64> {
+            let mut out = vec![0.0; a1.n * td];
+            let mut mirror = vec![0.0; td * b1.x.len()];
+            eval(&mut out, &mut mirror);
+            out.iter().chain(&mirror).map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            mbits(1, &|o, m| laplace_mutual_eval(a1, b1, o, m)),
+            mbits(1, &|o, m| laplace_mutual(a1, b1, o, m)),
+            "laplace mutual"
+        );
+        assert_eq!(
+            mbits(1, &|o, m| yukawa_mutual_eval(2.5, a1, b1, o, m)),
+            mbits(1, &|o, m| yukawa_mutual(2.5, a1, b1, o, m)),
+            "yukawa mutual"
+        );
+        assert_eq!(
+            mbits(3, &|o, m| stokes_mutual_eval(c, a3, b3, o, m)),
+            mbits(3, &|o, m| stokes_mutual(c, a3, b3, o, m)),
+            "stokes mutual"
+        );
+        assert_eq!(
+            mbits(1, &|o, m| dipole_mutual_eval(a3, b3, o, m)),
+            mbits(1, &|o, m| dipole_mutual(a3, b3, o, m)),
+            "dipole mutual"
+        );
+    }
+
+    /// Two boxes for the mutual bodies, each packed as its own padded
+    /// planes with 3 density planes: A holds 11 points (ragged for both
+    /// register blockings) padded to 16, B 21 points padded to 24, and
+    /// A's point 3 sits 1e-9 from B's point 9.
+    struct Boxes {
+        a: Packed,
+        b: Packed,
+    }
+
+    /// A box's real point count and its padded x/y/z/density planes.
+    type Packed = (usize, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
+
+    impl Boxes {
+        fn new() -> Boxes {
+            let mut st = 17u64;
+            let mut pts = |n: usize| -> Vec<Point3> {
+                (0..n)
+                    .map(|_| [lcg(&mut st), lcg(&mut st), lcg(&mut st)])
+                    .collect()
+            };
+            let mut pa = pts(11);
+            let pb = pts(21);
+            pa[3] = [pb[9][0] + 1e-9, pb[9][1], pb[9][2] - 1e-9];
+            let mut st = 5u64;
+            let mut den =
+                |n: usize| -> Vec<f64> { (0..3 * n).map(|_| lcg(&mut st) - 0.5).collect() };
+            let (da, db) = (den(pa.len()), den(pb.len()));
+            let (ax, ay, az, ad) = pack(&pa, &da, 3);
+            let (bx, by, bz, bd) = pack(&pb, &db, 3);
+            assert!(ax.len() > pa.len() && bx.len() > pb.len());
+            Boxes {
+                a: (pa.len(), ax, ay, az, ad),
+                b: (pb.len(), bx, by, bz, bd),
+            }
+        }
+
+        /// A and B with their first `sd` density planes.
+        fn tiles(&self, sd: usize) -> (BoxTiles<'_>, BoxTiles<'_>) {
+            fn side(p: &Packed, sd: usize) -> BoxTiles<'_> {
+                let (n, x, y, z, d) = p;
+                BoxTiles {
+                    n: *n,
+                    x,
+                    y,
+                    z,
+                    den: &d[..sd * x.len()],
+                }
+            }
+            (side(&self.a, sd), side(&self.b, sd))
+        }
+    }
+
+    /// One mutual call against the two one-way calls A ← B and B ← A:
+    /// within 1e-14 of the largest potential on both sides (the mirror
+    /// sums A's points in another order), with B's mirror folded through
+    /// `tile_scale`. The mirror's padding lanes must come back exactly
+    /// `+0.0`; the dipole's B side checks its sign flip.
+    #[test]
+    fn mutual_matches_two_one_way_calls() {
+        let bx = Boxes::new();
+        let ks: [&dyn TileKernel; 4] = [
+            &Laplace,
+            &Yukawa { lambda: 2.5 },
+            &Stokes { mu: 0.7 },
+            &LaplaceDipole,
+        ];
+        for k in ks {
+            let (sd, td) = (k.source_dim(), k.target_dim());
+            let (a, b) = bx.tiles(sd);
+            let mut want_a = vec![0.0; a.n * td];
+            k.eval_tiles(a.from(b), &mut want_a);
+            let mut want_b = vec![0.0; b.n * td];
+            k.eval_tiles(b.from(a), &mut want_b);
+
+            let mb = b.x.len();
+            let mut got_a = vec![0.0; a.n * td];
+            let mut mirror = vec![0.0; td * mb];
+            k.eval_mutual(a, b, &mut got_a, &mut mirror);
+            let got_b: Vec<f64> = (0..b.n * td)
+                .map(|k_| mirror[(k_ % td) * mb + k_ / td])
+                .map(|v| v * k.tile_scale())
+                .collect();
+            for plane in mirror.chunks_exact(mb) {
+                for v in &plane[b.n..] {
+                    assert_eq!(v.to_bits(), 0, "{}: mirror padding {v}", k.name());
+                }
+            }
+            for (got, want) in [(&got_a, &want_a), (&got_b, &want_b)] {
+                let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                assert!(scale > 0.0);
+                for (g, w) in got.iter().zip(want.iter()) {
+                    assert!(
+                        (g - w).abs() <= 1e-14 * scale,
+                        "{}: {g} vs {w} (scale {scale})",
+                        k.name()
+                    );
+                }
+            }
+        }
     }
 
     /// The compare-made guard is the division form's guard: `g = 1/r²;

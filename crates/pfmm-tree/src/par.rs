@@ -87,11 +87,6 @@ where
 ///
 /// The weights steer only where the ranges are cut; the per-octant
 /// arithmetic (and its floating-point order) is unchanged.
-///
-/// For the U-list phase the weights come from the near-field layout
-/// (`NearField::oct_weights` in `pfmm-core`): targets × *padded* sources
-/// per box, so the tiled engine's lane-padding overhead is balanced
-/// across chunks, not just the real pair count.
 pub fn par_windows_weighted<F>(
     threads: usize,
     weights: &[u64],
