@@ -81,11 +81,6 @@ impl RunSummary {
             .fold(0.0, f64::max)
     }
 
-    /// Average total evaluation seconds.
-    pub fn avg_eval(&self) -> f64 {
-        self.profiles.iter().map(|pr| pr.total_secs).sum::<f64>() / self.p as f64
-    }
-
     /// Maximum setup seconds.
     pub fn max_setup(&self) -> f64 {
         self.profiles
@@ -349,11 +344,6 @@ pub fn modeled_eval_secs(s: &RunSummary) -> (f64, f64) {
     let max = totals.iter().copied().fold(0.0, f64::max);
     let avg = totals.iter().sum::<f64>() / totals.len() as f64;
     (max, avg)
-}
-
-/// Format seconds in the paper's `x.xxe+yy` style.
-pub fn fsec(s: f64) -> String {
-    format!("{s:9.2e}")
 }
 
 /// A fixed-width table printer for the harness binaries.

@@ -68,7 +68,7 @@ pub const LANES: usize = 8;
 /// Target parents per batch of the blocked kernel.
 const BATCH_PARENTS: usize = 4;
 
-/// Targets per batch: 8 children of each of [`BATCH_PARENTS`] parents.
+/// Targets per batch: 8 children of each of `BATCH_PARENTS` parents.
 pub const BATCH_TARGETS: usize = 8 * BATCH_PARENTS;
 
 /// Colleague directions `Q − P ∈ {-1,0,1}³` (the center is never a V
@@ -811,12 +811,11 @@ impl FftBatchedM2l {
         }
         let per = nsrc.div_ceil(threads);
         let run = &run;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (k, srcs) in sources.chunks(per).enumerate() {
-                scope.spawn(move |_| run(k * per, srcs));
+                scope.spawn(move || run(k * per, srcs));
             }
-        })
-        .expect("source spectra scope");
+        });
     }
 
     /// Embed one octant's `n_surf·sd` packed density in the `[0,p)³`

@@ -21,9 +21,8 @@
 //! caller can fold the scale into the accumulate.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use pfmm_kernels::{assemble, Kernel, Point3};
 use pfmm_linalg::{pinv, Matrix};
 
@@ -70,15 +69,27 @@ pub type ScaledOp = (Arc<Matrix>, f64);
 /// so concurrent first touches (of the same or distinct keys) don't
 /// serialize on the matrix build, then re-check insert — a racing
 /// duplicate build is dropped in favor of the first inserted value.
+/// Builds run outside the lock, so a poisoned lock still guards a
+/// consistent map and its guard is used as is.
 fn cached<K, T>(cache: &Mutex<HashMap<K, Arc<T>>>, key: K, build: impl FnOnce() -> T) -> Arc<T>
 where
     K: Eq + std::hash::Hash + Copy,
 {
-    if let Some(m) = cache.lock().get(&key).cloned() {
+    if let Some(m) = cache
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+        .cloned()
+    {
         return m;
     }
     let built = Arc::new(build());
-    cache.lock().entry(key).or_insert(built).clone()
+    cache
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .entry(key)
+        .or_insert(built)
+        .clone()
 }
 
 /// Whether `a` is `bᵀ` bit for bit.
@@ -355,7 +366,7 @@ impl Ops {
     /// Tasks enumerate *distinct cache keys* — for homogeneous kernels
     /// every level collapses onto the base level, so naively warming per
     /// level would race concurrent builds of the same matrix (harmless
-    /// but wasteful; [`cached`] drops the losers). Three waves, each
+    /// but wasteful; `cached` drops the losers). Three waves, each
     /// consuming the last one's operators as cache hits: the uc2e solves
     /// (one per base level); the dc2e operators (a transpose of uc2e for
     /// symmetric kernels, a solve otherwise); the folded U2U/D2D

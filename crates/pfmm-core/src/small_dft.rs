@@ -17,10 +17,10 @@
 //! works for every even `n`. Each axis pass is a split-complex
 //! multiply-accumulate over contiguous rows, the shape LLVM vectorizes.
 //!
-//! Conventions match `pfmm_fft::RFft3`, which stays the test oracle:
-//! grids are `[(x·e + y)·e + z]`, z fastest; half spectra are
-//! `[(kx·n + ky)·h + kz]` with `h = n/2 + 1`; the forward transform is
-//! unnormalized and the inverse carries `1/n³`.
+//! Conventions (the tests check both transforms against a DFT written
+//! from its definition): grids are `[(x·e + y)·e + z]`, z fastest; half
+//! spectra are `[(kx·n + ky)·h + kz]` with `h = n/2 + 1`; the forward
+//! transform is unnormalized and the inverse carries `1/n³`.
 
 /// The pruned transform pair for one torus side `n = 2p`.
 pub struct PrunedDft3 {
@@ -271,7 +271,6 @@ impl PrunedDft3 {
 mod tests {
     use super::*;
     use crate::surface::surface_grid_indices;
-    use pfmm_fft::{Complex, RFft3};
     use proptest::prelude::*;
 
     fn rand_real(len: usize, seed: u64) -> Vec<f64> {
@@ -286,21 +285,37 @@ mod tests {
             .collect()
     }
 
-    /// Embed an `e³` corner grid on the `n³` torus.
-    fn embed(corner: &[f64], e: usize, n: usize) -> Vec<f64> {
-        let mut full = vec![0.0; n * n * n];
-        for x in 0..e {
-            for y in 0..e {
-                for z in 0..e {
-                    full[(x * n + y) * n + z] = corner[(x * e + y) * e + z];
+    /// The half spectrum of a real grid supported on the `[0,e)³` corner
+    /// of the `n³` torus, straight from the definition
+    /// `X_k = Σ_j x_j e^{-2πi k·j/n}`, with one `n`-entry twiddle table
+    /// indexed by `(k·j) mod n`.
+    fn direct_half_spectrum(corner: &[f64], e: usize, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let h = n / 2 + 1;
+        let (wr, wi): (Vec<f64>, Vec<f64>) = (0..n)
+            .map(|m| {
+                let t = -2.0 * std::f64::consts::PI * m as f64 / n as f64;
+                (t.cos(), t.sin())
+            })
+            .unzip();
+        (0..n * n * h)
+            .map(|f| {
+                let (kx, ky, kz) = (f / (n * h), f / h % n, f % h);
+                let (mut re, mut im) = (0.0, 0.0);
+                for (row, xs) in corner.chunks_exact(e).enumerate() {
+                    // m = (kx·x + ky·y + kz·z) mod n along the z row.
+                    let mut m = (kx * (row / e) + ky * (row % e)) % n;
+                    for &v in xs {
+                        re += v * wr[m];
+                        im += v * wi[m];
+                        m += kz;
+                        if m >= n {
+                            m -= n;
+                        }
+                    }
                 }
-            }
-        }
-        full
-    }
-
-    fn max_abs(v: &[f64]) -> f64 {
-        v.iter().fold(0.0f64, |m, x| m.max(x.abs())).max(1e-300)
+                (re, im)
+            })
+            .unzip()
     }
 
     fn check_forward(p: usize, e: usize, seed: u64) {
@@ -311,32 +326,29 @@ mod tests {
         let mut im = vec![0.0; dft.spectrum_len()];
         dft.forward(&corner, e, &mut re, &mut im, &mut DftScratch::default());
 
-        let oracle = RFft3::new(n);
-        let mut want = vec![Complex::ZERO; oracle.spectrum_len()];
-        oracle.forward(&embed(&corner, e, n), &mut want);
-        let scale = want.iter().fold(0.0f64, |m, c| m.max(c.abs()));
-        for (f, w) in want.iter().enumerate() {
-            let err = (re[f] - w.re).abs().max((im[f] - w.im).abs());
+        let (want_re, want_im) = direct_half_spectrum(&corner, e, n);
+        let scale = want_re
+            .iter()
+            .zip(&want_im)
+            .fold(0.0f64, |m, (r, i)| m.max(r.hypot(*i)));
+        for (f, (wr, wi)) in want_re.iter().zip(&want_im).enumerate() {
+            let err = (re[f] - wr).abs().max((im[f] - wi).abs());
             assert!(
                 err <= 1e-12 * scale,
-                "p={p} e={e} f={f}: ({}, {}) vs {w:?}",
+                "p={p} e={e} f={f}: ({}, {}) vs ({wr}, {wi})",
                 re[f],
                 im[f]
             );
         }
     }
 
+    /// The inverse of the half spectrum of a real grid (built by the
+    /// direct forward) gives the grid back at the surface indices.
     fn check_inverse(p: usize, seed: u64) {
         let n = 2 * p;
         let dft = PrunedDft3::new(p);
-        let oracle = RFft3::new(n);
         let grid = rand_real(n * n * n, seed);
-        let mut spec = vec![Complex::ZERO; oracle.spectrum_len()];
-        oracle.forward(&grid, &mut spec);
-        let re: Vec<f64> = spec.iter().map(|c| c.re).collect();
-        let im: Vec<f64> = spec.iter().map(|c| c.im).collect();
-        let mut back = vec![0.0; n * n * n];
-        oracle.inverse(&mut spec, &mut back);
+        let (re, im) = direct_half_spectrum(&grid, n, n);
 
         let surf = surface_grid_indices(p);
         // Strided accumulate: component 1 of 2, on top of a bias.
@@ -349,9 +361,9 @@ mod tests {
             2,
             &mut DftScratch::default(),
         );
-        let scale = max_abs(&back);
+        let scale = grid.iter().fold(0.0f64, |m, x| m.max(x.abs()));
         for (t, m) in surf.iter().enumerate() {
-            let want = back[(m[0] * n + m[1]) * n + m[2]];
+            let want = grid[(m[0] * n + m[1]) * n + m[2]];
             assert!(
                 (got[2 * t + 1] - 0.5 - want).abs() <= 1e-12 * scale,
                 "p={p} {m:?}: {} vs {want}",
@@ -365,22 +377,21 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
         /// Forward on `[0,p)³`-supported grids (sources) and on
-        /// full-support grids (kernel tables) matches the general real
-        /// FFT at every order 2..=10 — Bluestein sizes (n = 12, 20, …)
-        /// and radix-2 alike.
+        /// full-support grids (kernel tables) matches the direct DFT at
+        /// every order 2..=10.
         #[test]
-        fn forward_matches_rfft3_on_corner_and_full_support(seed in 0u64..1_000_000) {
+        fn forward_matches_direct_dft_on_corner_and_full_support(seed in 0u64..1_000_000) {
             for p in 2..=10 {
                 check_forward(p, p, seed);
                 check_forward(p, 2 * p, seed + 1);
             }
         }
 
-        /// The inverse at the surface indices matches the full c2r
-        /// inverse of a Hermitian half spectrum (the transform of a real
-        /// grid), at every order 2..=10.
+        /// The inverse at the surface indices of a Hermitian half
+        /// spectrum (the direct DFT of a real grid) recovers the grid
+        /// there, at every order 2..=10.
         #[test]
-        fn inverse_at_surface_matches_rfft3(seed in 0u64..1_000_000) {
+        fn inverse_at_surface_recovers_the_grid(seed in 0u64..1_000_000) {
             for p in 2..=10 {
                 check_inverse(p, seed);
             }

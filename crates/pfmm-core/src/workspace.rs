@@ -28,7 +28,7 @@
 //!   place on later applies, and its sweep: the per-thread cuts of its
 //!   pair schedule and the mirror the mutual pairs accumulate into,
 //!   built with it;
-//! * a [`ScratchPool`] of per-worker scratch (tile-eval SoA panels,
+//! * a `ScratchPool` of per-worker scratch (tile-eval SoA panels,
 //!   GEMM pack panels, FFT work vectors, batched-M2L accumulators and
 //!   edge batches)
 //!   checked out by the chunk kernels.

@@ -45,13 +45,6 @@ impl DeviceSpec {
         }
     }
 
-    /// The paper's CPU reference rate: "the single core CPU performance
-    /// for the evaluation part is roughly 500 MFlops/s" (§VI). Used to
-    /// model the 2009 CPU-only comparison from measured flop counts.
-    pub fn cpu_2009_flops_per_sec() -> f64 {
-        0.5e9
-    }
-
     /// Modeled execution time of a kernel with the given aggregate stats:
     /// roofline max of compute and memory time, divided by the occupancy
     /// ramp, plus launch overhead.
@@ -116,12 +109,12 @@ where
         .unwrap_or(4);
     let threads = threads.min(nblocks.max(1));
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let tallies = crossbeam::thread::scope(|scope| {
+    let tallies = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let next = &next;
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut t = Tally::default();
                     loop {
                         let b = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -138,8 +131,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("gpu block worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("gpu launch scope");
+    });
     let mut total = Tally::default();
     for t in &tallies {
         total.merge(t);
@@ -163,12 +155,12 @@ where
         .unwrap_or(4);
     let threads = threads.min(nblocks.max(1));
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let results = crossbeam::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let next = &next;
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut t = Tally::default();
                     let mut out = Vec::new();
                     loop {
@@ -186,8 +178,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("gpu block worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("gpu launch scope");
+    });
     let mut total = Tally::default();
     let mut ordered: Vec<Option<T>> = (0..nblocks).map(|_| None).collect();
     for (outs, t) in results {

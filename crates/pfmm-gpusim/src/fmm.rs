@@ -123,11 +123,11 @@ impl GpuFmmReport {
 
     /// Synthesize Chrome-trace spans for the modeled GPU pipeline: the
     /// host-side layout translation, the five Table III stages, and the
-    /// PCIe transfer, laid out back-to-back on the [`TID_GPU`] lane of
-    /// `rank` starting at `t0_us`. The spans render the *modeled* GPU
-    /// timeline (what the device would have done), not this host's wall
-    /// clock — each span carries a `modeled_us` arg so downstream tools
-    /// can tell.
+    /// PCIe transfer, laid out back-to-back on the
+    /// [`TID_GPU`](pfmm_trace::TID_GPU) lane of `rank` starting at
+    /// `t0_us`. The spans render the *modeled* GPU timeline (what the
+    /// device would have done), not this host's wall clock — each span
+    /// carries a `modeled_us` arg so downstream tools can tell.
     pub fn trace_events(&self, rank: u32, t0_us: f64) -> Vec<pfmm_trace::Event> {
         use pfmm_trace::{Event, EventKind, TID_GPU};
         let mut evs = Vec::new();

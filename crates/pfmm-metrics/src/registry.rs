@@ -258,13 +258,6 @@ impl MetricsRegistry {
             _ => None,
         }
     }
-
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match lock(&self.inner).get(&key_of(name, labels)) {
-            Some(Instrument::Gauge(g)) => Some(g.get()),
-            _ => None,
-        }
-    }
 }
 
 fn key_of(name: &str, labels: &[(&str, &str)]) -> InstrumentKey {

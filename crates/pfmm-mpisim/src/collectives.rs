@@ -98,11 +98,6 @@ pub fn allreduce_sum_u64(c: &Comm, v: u64) -> u64 {
     allreduce_one(c, v, |a, b| a + b)
 }
 
-/// Max all-reduce for a single `f64`.
-pub fn allreduce_max_f64(c: &Comm, v: f64) -> f64 {
-    allreduce_one(c, v, f64::max)
-}
-
 /// Gather variable-length contributions to every rank, concatenated in
 /// rank order (MPI_Allgatherv).
 pub fn allgatherv<T: Wire>(c: &Comm, data: &[T]) -> Vec<T> {

@@ -6,7 +6,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Types that can travel between ranks.
 ///
@@ -238,11 +238,6 @@ impl CommMatrix {
         CommMatrix { p, msgs, bytes }
     }
 
-    /// Total messages over all (src, dst) pairs.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.iter().sum()
-    }
-
     /// Total bytes over all (src, dst) pairs.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
@@ -337,11 +332,6 @@ impl Comm {
         let out = f();
         self.kind.set(prev);
         out
-    }
-
-    /// The collective class sends are currently charged to.
-    pub fn current_kind(&self) -> CollectiveKind {
-        self.kind.get()
     }
 
     /// Attach a per-rank trace buffer; send/recv hooks record `comm`-level
@@ -503,7 +493,7 @@ where
     let mut senders = Vec::with_capacity(p);
     let mut receivers = Vec::with_capacity(p);
     for _ in 0..p {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(rx);
     }
@@ -528,17 +518,16 @@ where
         })
         .collect();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .drain(..)
-            .map(|comm| scope.spawn(move |_| f(&comm)))
+            .map(|comm| scope.spawn(move || f(&comm)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("rank thread panicked"))
             .collect()
     })
-    .expect("mpisim scope panicked")
 }
 
 #[cfg(test)]

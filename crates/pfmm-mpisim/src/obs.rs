@@ -1,4 +1,4 @@
-//! Mirror of [`CommStats`](crate::CommStats) into the always-on
+//! Mirror of [`CommStats`] into the always-on
 //! telemetry registry.
 //!
 //! The simulated MPI layer already keeps authoritative per-rank and

@@ -189,7 +189,7 @@ const MAX_EXP: i32 = 41;
 
 /// A log-bucketed histogram for latency-like nonnegative samples.
 ///
-/// Buckets subdivide each power of two into [`SUB_BUCKETS`] linear
+/// Buckets subdivide each power of two into `SUB_BUCKETS` linear
 /// sub-buckets (the HDR-histogram layout), so bucketing is exact integer
 /// arithmetic on the float's bits — no `log2` rounding, identical on
 /// every platform. Quantile estimates are therefore within one bucket

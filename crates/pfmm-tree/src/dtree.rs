@@ -79,7 +79,7 @@ const FRONTIER_SLACK: usize = 8;
 /// cover blocks (one Morton-ordered subtree each) are expanded into a
 /// frontier of independent subtrees, refined in parallel, and the
 /// per-subtree leaf runs concatenated in frontier order — the frontier
-/// expansion replays [`refine`]'s own splitting rule, so the leaf array
+/// expansion replays `refine`'s own splitting rule, so the leaf array
 /// and CSR are identical to the serial recursion's.
 pub fn octree_from_sorted_with(
     c: &Comm,

@@ -79,15 +79,6 @@ impl Let {
         (start, end)
     }
 
-    /// The ranks whose regions a rank-space interval `[a, b]` intersects.
-    pub fn ranks_overlapping(&self, a: u128, b: u128) -> std::ops::RangeInclusive<usize> {
-        debug_assert!(a <= b);
-        let p = self.region.len() - 1;
-        let lo = self.region[1..p].partition_point(|&s| s <= a);
-        let hi = self.region[1..p].partition_point(|&s| s <= b);
-        lo..=hi
-    }
-
     /// Heap bytes held by this LET (element counts × element sizes; used
     /// for the serve-layer plan-cache budget accounting).
     pub fn memory_bytes(&self) -> usize {

@@ -169,17 +169,16 @@ where
     debug_assert!(rest.is_empty());
 
     let work = &work;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = tasks
             .into_iter()
-            .map(|(range, window, base)| scope.spawn(move |_| work(range, window, base)))
+            .map(|(range, window, base)| scope.spawn(move || work(range, window, base)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("evaluation worker panicked"))
             .sum()
     })
-    .expect("par_windows scope")
 }
 
 /// Parallel map over an index list, each element producing a value; the
@@ -197,11 +196,11 @@ where
     let next = std::sync::atomic::AtomicUsize::new(0);
     let f = &f;
     let mut slots: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
-    let results = crossbeam::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads.min(items.len()))
             .map(|_| {
                 let next = &next;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut mine = Vec::new();
                     loop {
                         let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -218,8 +217,7 @@ where
             .into_iter()
             .flat_map(|h| h.join().expect("par_map worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("par_map scope");
+    });
     for (k, v) in results {
         slots[k] = Some(v);
     }

@@ -166,16 +166,15 @@ pub fn ranks_of(par: SetupPar, pts: &[PointRec]) -> Vec<u128> {
         rest = tail;
         tasks.push((&pts[w[0]..w[1]], window));
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (chunk, window) in tasks {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (r, o) in chunk.iter().zip(window.iter_mut()) {
                     *o = r.key_rank();
                 }
             });
         }
-    })
-    .expect("ranks_of scope");
+    });
     out
 }
 
@@ -223,12 +222,11 @@ where
         tasks.push((&recs[w[0]..w[1]], window, w[0]));
     }
     let fill = &fill;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (chunk, window, base) in tasks {
-            scope.spawn(move |_| fill(chunk, window, base));
+            scope.spawn(move || fill(chunk, window, base));
         }
-    })
-    .expect("build_ents scope");
+    });
     ents
 }
 
@@ -324,21 +322,20 @@ fn parallel_pass(spec: DigitSpec, cuts: &[usize], src: &[Ent], dst: &mut [Ent]) 
     // Phase 1: per-chunk histograms.
     let hists: Vec<Vec<usize>> = {
         let mut slots: Vec<Vec<usize>> = vec![vec![0; bins]; t];
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut rest = &mut slots[..];
             for w in cuts.windows(2) {
                 let (slot, tail) = rest.split_at_mut(1);
                 rest = tail;
                 let chunk = &src[w[0]..w[1]];
                 let hist = &mut slot[0];
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for e in chunk {
                         hist[e.digit(spec)] += 1;
                     }
                 });
             }
-        })
-        .expect("radix histogram scope");
+        });
         slots
     };
     // Phase 2: starting offset of (digit d, chunk k) = sum over all
@@ -356,11 +353,11 @@ fn parallel_pass(spec: DigitSpec, cuts: &[usize], src: &[Ent], dst: &mut [Ent]) 
     // 0..n, so each destination index is written by exactly one worker.
     let out = ScatterOut(dst.as_mut_ptr());
     let out = &out;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (off, w) in offs.into_iter().zip(cuts.windows(2)) {
             let chunk = &src[w[0]..w[1]];
             let mut off = off;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for e in chunk {
                     let d = e.digit(spec);
                     // SAFETY: off starts at this chunk's disjoint
@@ -372,8 +369,7 @@ fn parallel_pass(spec: DigitSpec, cuts: &[usize], src: &[Ent], dst: &mut [Ent]) 
                 }
             });
         }
-    })
-    .expect("radix scatter scope");
+    });
 }
 
 /// Apply the sorted permutation to the payload records.

@@ -235,7 +235,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Inclusive length bounds for [`vec`].
+    /// Inclusive length bounds for [`vec()`].
     #[derive(Copy, Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -275,7 +275,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

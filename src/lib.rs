@@ -7,8 +7,6 @@
 //!
 //! - [`morton`] — Morton octant keys and linear-octree algorithms
 //! - [`linalg`] — dense matrices, SVD, pseudo-inverse
-//! - [`fft`] — general complex and real 3-D FFTs (the test oracle of the
-//!   pruned small DFTs the V-list translation runs on)
 //! - [`kernels`] — Laplace / Stokes kernels and the direct baseline
 //! - [`mpisim`] — the in-process message-passing runtime (MPI stand-in)
 //! - [`tree`] — distributed adaptive octree, LET, interaction lists
@@ -44,7 +42,6 @@
 //! assert!(err < 1e-3, "{err}");
 //! ```
 
-pub use pfmm_fft as fft;
 pub use pfmm_gpusim as gpusim;
 pub use pfmm_kernels as kernels;
 pub use pfmm_linalg as linalg;
